@@ -405,7 +405,7 @@ fn prepare(file: &SourceFile) -> Prepared {
 const SKIP_PREFIXES: [&str; 3] = ["crates/vendor/", "crates/bench/", "crates/analyze/"];
 
 /// Walks the workspace at `root` and collects every `crates/*/src/**/*.rs`
-/// (plus a root `src/` if present), excluding [`SKIP_PREFIXES`]. Files come
+/// (plus a root `src/` if present), excluding `SKIP_PREFIXES`. Files come
 /// back sorted by path so analysis order is deterministic.
 pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut out = Vec::new();

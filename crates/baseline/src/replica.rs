@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use ratc_core::batch::{BatchingConfig, VoteBatcher};
 use ratc_core::flow::FlowControlConfig;
 use ratc_paxos::{Acceptor, PaxosMsg, Proposer, ReplicatedLog};
-use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, TimerTag, TxMilestone};
+use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, SafetyNet, TimerTag, TxMilestone};
 #[cfg(debug_assertions)]
 use ratc_types::MirrorCertifier;
 use ratc_types::{
@@ -20,9 +20,6 @@ const BATCH_TICK: TimerTag = 11;
 /// Timer tag re-sending outstanding Paxos messages (lost `Accept`s would
 /// otherwise strand their slots forever on lossy links).
 const RETRANSMIT_TICK: TimerTag = 12;
-
-/// Retransmission interval for outstanding Paxos work.
-const RETRANSMIT: ratc_sim::SimDuration = ratc_sim::SimDuration::from_millis(20);
 
 /// Consecutive retransmission ticks after which the leader stops re-arming
 /// (20 simulated seconds — the Paxos majority looks permanently gone); any
@@ -93,7 +90,8 @@ pub struct BaselineShardReplica {
     batching: BatchingConfig,
     batcher: VoteBatcher<ShardVote>,
     batch_timer_armed: bool,
-    retransmit_armed: bool,
+    /// The Paxos retransmit tick, armed while the proposer has pending work.
+    retransmit_net: SafetyNet,
     /// Consecutive retransmission ticks; capped by [`RETRANSMIT_CAP`].
     retransmit_ticks: u32,
     /// Flow-control knobs (here: the Paxos retransmit backoff schedule).
@@ -134,7 +132,7 @@ impl BaselineShardReplica {
             batching: BatchingConfig::default(),
             batcher: VoteBatcher::new(BatchingConfig::default()),
             batch_timer_armed: false,
-            retransmit_armed: false,
+            retransmit_net: SafetyNet::default(),
             retransmit_ticks: 0,
             flow: FlowControlConfig::default(),
             retransmit_backoff: BackoffState::default(),
@@ -345,14 +343,17 @@ impl BaselineShardReplica {
         self.arm_retransmit_timer(ctx);
     }
 
+    /// Whether the proposer has Paxos messages awaiting a quorum.
+    fn proposer_pending(&self) -> bool {
+        self.proposer.as_ref().map(Proposer::has_pending) == Some(true)
+    }
+
     fn arm_retransmit_timer(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
         // Called whenever new work arrives, which also resets the
         // fruitless-tick budget.
         self.retransmit_ticks = 0;
-        let pending = self.proposer.as_ref().map(Proposer::has_pending) == Some(true);
-        if !self.retransmit_armed && pending {
-            ctx.set_timer(RETRANSMIT, RETRANSMIT_TICK);
-            self.retransmit_armed = true;
+        if self.proposer_pending() {
+            self.retransmit_net.arm(RETRANSMIT_TICK, ctx);
         }
     }
 
@@ -360,7 +361,7 @@ impl BaselineShardReplica {
     /// would otherwise strand its ballot or slot forever. Repeats are
     /// idempotent at the acceptors.
     fn handle_retransmit_tick(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
-        self.retransmit_armed = false;
+        self.retransmit_net.reset();
         self.retransmit_ticks += 1;
         if self.retransmit_ticks > RETRANSMIT_CAP {
             ctx.add_counter("retransmits_abandoned", 1);
@@ -368,8 +369,7 @@ impl BaselineShardReplica {
         }
         let now = ctx.now().as_micros();
         let due = !self.flow.enabled || self.retransmit_backoff.due(now);
-        let pending = self.proposer.as_ref().map(Proposer::has_pending) == Some(true);
-        if !pending {
+        if !self.proposer_pending() {
             return;
         }
         if due {
@@ -383,10 +383,7 @@ impl BaselineShardReplica {
         }
         // Keep ticking while work is outstanding: the backoff deadline, not
         // the tick, decides when the next retransmit actually goes out.
-        if !self.retransmit_armed {
-            ctx.set_timer(RETRANSMIT, RETRANSMIT_TICK);
-            self.retransmit_armed = true;
-        }
+        self.retransmit_net.arm(RETRANSMIT_TICK, ctx);
     }
 
     /// Folds a chosen command (a batch of votes) into the replica state:
@@ -458,6 +455,10 @@ impl BaselineShardReplica {
                 let (backoff, salt) = (self.flow.backoff, self.id.as_u64());
                 self.retransmit_backoff
                     .reset(&backoff, salt, ctx.now().as_micros());
+            }
+            // Nothing awaits a quorum: an idle leader holds no timer.
+            if !self.proposer_pending() {
+                self.retransmit_net.disarm(ctx);
             }
         }
     }
@@ -547,7 +548,7 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
         self.prepared.clear();
         self.batcher = VoteBatcher::new(self.batching);
         self.batch_timer_armed = false;
-        self.retransmit_armed = false;
+        self.retransmit_net.reset();
         let (backoff, salt) = (self.flow.backoff, self.id.as_u64());
         self.retransmit_backoff
             .reset(&backoff, salt, ctx.now().as_micros());

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use ratc_core::flow::{AdmissionQueue, FlowControlConfig};
 use ratc_paxos::{Acceptor, PaxosMsg, Proposer, ReplicatedLog};
-use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone};
+use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, SafetyNet, TimerTag, TxMilestone};
 use ratc_types::{Decision, Payload, ProcessId, ShardId, ShardMap, TxId};
 
 use crate::messages::{BaselineMsg, TmCommand};
@@ -13,9 +13,6 @@ use crate::messages::{BaselineMsg, TmCommand};
 /// Timer tag re-driving in-flight transactions (re-sending `PREPARE` to
 /// shards whose vote is missing and re-transmitting outstanding Paxos work).
 const TM_RETRY_TICK: TimerTag = 21;
-
-/// Retry interval of the transaction manager.
-const TM_RETRY: SimDuration = SimDuration::from_millis(20);
 
 /// Consecutive fruitless retry ticks after which the TM stops re-arming (20
 /// simulated seconds), so `World::run` terminates even when a shard is
@@ -63,7 +60,8 @@ pub struct TransactionManager {
     decided_clients: BTreeMap<TxId, (ProcessId, Vec<ShardId>)>,
     phase1_started: bool,
     ballot_round: u64,
-    retry_armed: bool,
+    /// The retry tick, armed while 2PC or Paxos work is outstanding.
+    retry_net: SafetyNet,
     /// Consecutive retry ticks without new work; capped by [`TM_RETRY_CAP`].
     retry_ticks: u32,
     /// `true` between a TM-leader restart and the completion of Paxos log
@@ -97,7 +95,7 @@ impl TransactionManager {
             decided_clients: BTreeMap::new(),
             phase1_started: false,
             ballot_round: 0,
-            retry_armed: false,
+            retry_net: SafetyNet::default(),
             retry_ticks: 0,
             recovering: false,
             flow: FlowControlConfig::default(),
@@ -302,6 +300,8 @@ impl TransactionManager {
     }
 
     /// Admits queued submissions into freed window slots (oldest first).
+    /// Called after Paxos progress, so it also cancels the retry tick once
+    /// nothing is outstanding (see [`SafetyNet`]).
     fn drain_admission(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
         while self.flow.admits(self.pending.len()) {
             let Some((tx, (payload, client))) = self.admission.pop() else {
@@ -312,6 +312,9 @@ impl TransactionManager {
                 continue;
             }
             self.start_tx(tx, payload, client, ctx);
+        }
+        if !self.retry_outstanding() {
+            self.retry_net.disarm(ctx);
         }
     }
 
@@ -343,16 +346,18 @@ impl TransactionManager {
         }
     }
 
+    /// Whether 2PC or Paxos work is outstanding for the retry tick.
+    fn retry_outstanding(&self) -> bool {
+        let proposer_pending = self.proposer.as_ref().map(Proposer::has_pending) == Some(true);
+        !self.pending.is_empty() || proposer_pending || !self.admission.is_empty()
+    }
+
     fn arm_retry_timer(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
         // Called whenever new work arrives, which also resets the
         // fruitless-tick budget.
         self.retry_ticks = 0;
-        let proposer_pending = self.proposer.as_ref().map(Proposer::has_pending) == Some(true);
-        if !self.retry_armed
-            && (!self.pending.is_empty() || proposer_pending || !self.admission.is_empty())
-        {
-            ctx.set_timer(TM_RETRY, TM_RETRY_TICK);
-            self.retry_armed = true;
+        if self.retry_outstanding() {
+            self.retry_net.arm(TM_RETRY_TICK, ctx);
         }
     }
 
@@ -361,7 +366,7 @@ impl TransactionManager {
     /// receivers (shard leaders re-report chosen votes, acceptors tolerate
     /// ballot repeats).
     fn handle_retry_tick(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
-        self.retry_armed = false;
+        self.retry_net.reset();
         self.retry_ticks += 1;
         if self.retry_ticks > TM_RETRY_CAP {
             // Nothing has budged for a long time: the missing participants
@@ -419,12 +424,8 @@ impl TransactionManager {
         self.drain_admission(ctx);
         // Re-arm directly (not via `arm_retry_timer`, which would reset the
         // fruitless-tick budget this tick just spent).
-        let proposer_pending = self.proposer.as_ref().map(Proposer::has_pending) == Some(true);
-        if !self.retry_armed
-            && (!self.pending.is_empty() || proposer_pending || !self.admission.is_empty())
-        {
-            ctx.set_timer(TM_RETRY, TM_RETRY_TICK);
-            self.retry_armed = true;
+        if self.retry_outstanding() {
+            self.retry_net.arm(TM_RETRY_TICK, ctx);
         }
     }
 
@@ -614,7 +615,7 @@ impl Actor<BaselineMsg> for TransactionManager {
         let (backoff, salt) = (self.flow.backoff, self.id.as_u64());
         self.paxos_backoff
             .reset(&backoff, salt, ctx.now().as_micros());
-        self.retry_armed = false;
+        self.retry_net.reset();
         self.phase1_started = false;
         self.ballot_round += 1;
         if self.is_leader {

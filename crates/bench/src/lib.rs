@@ -66,6 +66,12 @@ pub mod json {
         format!("{{{}}}", fields.join(","))
     }
 
+    /// A measured microsecond figure as a JSON number, or the string
+    /// `"n/a"` when there was nothing to measure.
+    fn micros_or_na(micros: Option<u64>) -> String {
+        micros.map_or_else(|| String::from(r#""n/a""#), |m| m.to_string())
+    }
+
     /// One E1 latency row.
     pub fn latency(r: &LatencyResult) -> String {
         format!(
@@ -162,7 +168,7 @@ pub mod json {
             r.commits_per_milli,
             r.recovery_micros,
             r.blackout_micros,
-            r.time_to_recover_micros,
+            micros_or_na(r.time_to_recover_micros),
             msgs_per_tx(&r.msgs_per_tx),
             r.ok
         )
@@ -178,7 +184,7 @@ pub mod json {
             r.submitted,
             r.committed,
             r.blackout_micros,
-            r.time_to_recover_micros,
+            micros_or_na(r.time_to_recover_micros),
             r.windows,
             r.unclosed_windows,
             r.ctrl_events,
@@ -379,7 +385,7 @@ pub mod json {
                 submitted: 60,
                 committed: 28,
                 blackout_micros: 27_886,
-                time_to_recover_micros: 27_886,
+                time_to_recover_micros: Some(27_886),
                 windows: 1,
                 unclosed_windows: 0,
                 ctrl_events: 5,
@@ -399,12 +405,33 @@ pub mod json {
                 commits_per_milli: 0.7,
                 recovery_micros: 1_000,
                 blackout_micros: 500,
-                time_to_recover_micros: 400,
+                time_to_recover_micros: Some(400),
                 msgs_per_tx: per_tx,
                 ok: true,
             });
             assert!(row.contains(r#""blackout_micros":500"#), "{row}");
             assert!(row.contains(r#""time_to_recover_micros":400"#), "{row}");
+        }
+
+        /// A cell with no closed availability window has no time-to-recover:
+        /// the row says `"n/a"`, never a vacuous 0.
+        #[test]
+        fn blackout_row_without_a_closed_window_reads_na() {
+            use ratc_chaos::{BlackoutScenario, Stack};
+            let row = blackout(&BlackoutResult {
+                stack: Stack::Baseline,
+                scenario: BlackoutScenario::ShardReconfig,
+                submitted: 60,
+                committed: 60,
+                blackout_micros: 0,
+                time_to_recover_micros: None,
+                windows: 0,
+                unclosed_windows: 0,
+                ctrl_events: 3,
+                msgs_per_tx: Vec::new(),
+                ok: true,
+            });
+            assert!(row.contains(r#""time_to_recover_micros":"n/a""#), "{row}");
         }
 
         #[test]

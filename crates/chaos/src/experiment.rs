@@ -35,8 +35,9 @@ pub struct AvailabilityResult {
     pub blackout_micros: u64,
     /// Worst-case time-to-recover across closed availability windows, in
     /// microseconds: from a window's last degrading event to the first
-    /// decision that closed it. `0` when no window closed.
-    pub time_to_recover_micros: u64,
+    /// decision that closed it. `None` (printed `n/a`) when no window
+    /// closed: there was nothing to recover from.
+    pub time_to_recover_micros: Option<u64>,
     /// Messages delivered per decided transaction, per message type
     /// (`(label, msgs/tx)`, sorted by label). Empty when nothing decided.
     pub msgs_per_tx: Vec<(String, f64)>,
@@ -49,7 +50,7 @@ impl fmt::Display for AvailabilityResult {
         write!(
             f,
             "{:<12} intensity={:<3} committed={:>3}/{:<3} throughput={:>6.2}/ms \
-             recovery={:>7}us blackout={:>7}us ttr={:>7}us ok={}",
+             recovery={:>7}us blackout={:>7}us ttr={:>9} ok={}",
             self.stack.to_string(),
             self.intensity,
             self.committed,
@@ -57,10 +58,15 @@ impl fmt::Display for AvailabilityResult {
             self.commits_per_milli,
             self.recovery_micros,
             self.blackout_micros,
-            self.time_to_recover_micros,
+            micros_or_na(self.time_to_recover_micros),
             self.ok
         )
     }
+}
+
+/// `"<n>us"`, or `"n/a"` for a measurement that does not exist.
+fn micros_or_na(micros: Option<u64>) -> String {
+    micros.map_or_else(|| String::from("n/a"), |m| format!("{m}us"))
 }
 
 /// Runs one E9 cell: a fixed-seed soak of `stack` at `intensity`.
@@ -93,8 +99,7 @@ pub fn availability_experiment(stack: Stack, intensity: u8, seed: u64) -> Availa
     let time_to_recover_micros = blackouts
         .iter()
         .filter_map(|b| b.time_to_recover_micros())
-        .max()
-        .unwrap_or(0);
+        .max();
     let decided = report.decided;
     let msgs_per_tx = if decided == 0 {
         Vec::new()
@@ -181,8 +186,10 @@ pub struct BlackoutResult {
     /// windows), in microseconds.
     pub blackout_micros: u64,
     /// Worst-case time-to-recover across closed windows (last degrading
-    /// event → first decision after it), in microseconds.
-    pub time_to_recover_micros: u64,
+    /// event → first decision after it), in microseconds. `None` (printed
+    /// `n/a`) when no window closed, e.g. a reconfiguration scenario on a
+    /// stack that does not reconfigure.
+    pub time_to_recover_micros: Option<u64>,
     /// Availability windows observed (closed + unclosed).
     pub windows: usize,
     /// Windows never closed by a post-degradation decision. `0` in a
@@ -201,14 +208,14 @@ impl fmt::Display for BlackoutResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:<12} {:<16} committed={:>3}/{:<3} blackout={:>7}us ttr={:>7}us \
+            "{:<12} {:<16} committed={:>3}/{:<3} blackout={:>7}us ttr={:>9} \
              windows={:<2} ctrl_events={:<3} ok={}",
             self.stack.to_string(),
             self.scenario.to_string(),
             self.committed,
             self.submitted,
             self.blackout_micros,
-            self.time_to_recover_micros,
+            micros_or_na(self.time_to_recover_micros),
             self.windows,
             self.ctrl_events,
             self.ok
@@ -279,8 +286,7 @@ pub fn blackout_experiment(
     let time_to_recover_micros = blackouts
         .iter()
         .filter_map(|b| b.time_to_recover_micros())
-        .max()
-        .unwrap_or(0);
+        .max();
     let unclosed_windows = blackouts.iter().filter(|b| b.end_micros.is_none()).count();
     let decided = report.decided;
     let msgs_per_tx = if decided == 0 {

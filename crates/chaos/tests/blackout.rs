@@ -88,3 +88,21 @@ fn blackout_windows_nest_inside_their_fault_heal_span() {
         }
     }
 }
+
+/// The baseline has static membership: a shard reconfiguration closes no
+/// availability window there, so the cell has no time-to-recover and must
+/// say `n/a` rather than report a vacuous 0 µs.
+#[test]
+fn baseline_reconfiguration_cell_reports_no_time_to_recover() {
+    let (result, _, blackouts) =
+        blackout_experiment(Stack::Baseline, BlackoutScenario::ShardReconfig, 42);
+    assert!(result.ok, "{result}");
+    assert!(
+        blackouts
+            .iter()
+            .all(|b| b.time_to_recover_micros().is_none()),
+        "no window closed: {blackouts:?}"
+    );
+    assert_eq!(result.time_to_recover_micros, None);
+    assert!(result.to_string().contains("ttr=      n/a"), "{result}");
+}

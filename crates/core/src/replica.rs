@@ -15,7 +15,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use ratc_config::{MembershipPlanner, ShardConfiguration};
-use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone};
+use ratc_sim::{
+    Actor, BackoffState, Context, CtrlMilestone, SafetyNet, SimDuration, TimerTag, TxMilestone,
+};
 use ratc_types::{
     CertificationPolicy, Decision, Epoch, IndexedCertifier, Payload, Position, ProcessId,
     ShardCertifier, ShardId, ShardMap, TxId,
@@ -243,8 +245,9 @@ pub struct Replica {
     cs: ProcessId,
     coordinating: BTreeMap<TxId, CoordState>,
     recon: Option<ReconState>,
-    retry_interval: SimDuration,
-    retry_timer_armed: bool,
+    /// The coordinator retry tick, armed while coordinated transactions or
+    /// admission-queued submissions are outstanding.
+    retry_net: SafetyNet,
     truncation: TruncationConfig,
     batching: BatchingConfig,
     batcher: VoteBatcher<TxId>,
@@ -286,8 +289,7 @@ impl Replica {
             cs: ProcessId::new(u64::MAX),
             coordinating: BTreeMap::new(),
             recon: None,
-            retry_interval: SimDuration::from_millis(20),
-            retry_timer_armed: false,
+            retry_net: SafetyNet::default(),
             truncation: TruncationConfig::default(),
             batching: BatchingConfig::default(),
             batcher: VoteBatcher::new(BatchingConfig::default()),
@@ -428,12 +430,14 @@ impl Replica {
 
     // -- helpers -------------------------------------------------------------
 
+    /// Whether the coordinator has work the retry tick may need to re-drive.
+    fn coordination_outstanding(&self) -> bool {
+        self.undecided_coordinated() > 0 || !self.admission.is_empty()
+    }
+
     fn arm_retry_timer(&mut self, ctx: &mut Context<'_, Msg>) {
-        if !self.retry_timer_armed
-            && (self.undecided_coordinated() > 0 || !self.admission.is_empty())
-        {
-            ctx.set_timer(self.retry_interval, RETRY_TICK);
-            self.retry_timer_armed = true;
+        if self.coordination_outstanding() {
+            self.retry_net.arm(RETRY_TICK, ctx);
         }
     }
 
@@ -465,12 +469,17 @@ impl Replica {
     }
 
     /// Admits queued submissions into freed window slots (oldest first).
+    /// Called when a decision frees a slot, so it also cancels the retry
+    /// tick once nothing is outstanding (see [`SafetyNet`]).
     fn drain_admission(&mut self, ctx: &mut Context<'_, Msg>) {
         while self.flow.admits(self.undecided_coordinated()) {
             let Some((tx, (payload, client))) = self.admission.pop() else {
                 break;
             };
             self.handle_certify(tx, payload, client, ctx);
+        }
+        if !self.coordination_outstanding() {
+            self.retry_net.disarm(ctx);
         }
     }
 
@@ -1960,7 +1969,7 @@ impl Replica {
     /// transactions that have not completed (e.g. because a shard
     /// reconfigured mid-flight or a message raced with an epoch change).
     fn handle_retry_tick(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.retry_timer_armed = false;
+        self.retry_net.reset();
         let now = ctx.now().as_micros();
         // Flow control: only transactions whose backoff deadline has passed
         // re-drive this tick — the fix for the per-tick full-pending volley
@@ -2184,7 +2193,7 @@ impl Actor<Msg> for Replica {
         self.admission.clear();
         self.retry_backoff.clear();
         self.recon = None;
-        self.retry_timer_armed = false;
+        self.retry_net.reset();
         self.batcher = VoteBatcher::new(self.batching);
         self.batch_timer_armed = false;
         self.log.set_certifier(self.index_factory.clone_box());

@@ -11,7 +11,9 @@ use ratc_core::flow::{AdmissionQueue, FlowControlConfig};
 use ratc_core::log::{LogEntry, TxPhase};
 use ratc_core::replica::TruncationConfig;
 use ratc_sim::rdma::RdmaToken;
-use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone};
+use ratc_sim::{
+    Actor, BackoffState, Context, CtrlMilestone, SafetyNet, SimDuration, TimerTag, TxMilestone,
+};
 use ratc_types::{
     CertificationPolicy, Decision, Epoch, IndexedCertifier, Payload, Position, ProcessId,
     ShardCertifier, ShardId, ShardMap, TxId,
@@ -191,8 +193,9 @@ pub struct RdmaReplica {
     coordinating: BTreeMap<TxId, CoordState>,
     pending_writes: BTreeMap<RdmaToken, PendingWrite>,
     recon: Option<ReconState>,
-    retry_interval: SimDuration,
-    retry_timer_armed: bool,
+    /// The coordinator retry tick, armed while coordinated transactions or
+    /// admission-queued submissions are outstanding.
+    retry_net: SafetyNet,
     truncation: TruncationConfig,
     batching: BatchingConfig,
     batcher: VoteBatcher<TxId>,
@@ -251,8 +254,7 @@ impl RdmaReplica {
             coordinating: BTreeMap::new(),
             pending_writes: BTreeMap::new(),
             recon: None,
-            retry_interval: SimDuration::from_millis(20),
-            retry_timer_armed: false,
+            retry_net: SafetyNet::default(),
             truncation: TruncationConfig::default(),
             batching: BatchingConfig::default(),
             batcher: VoteBatcher::new(BatchingConfig::default()),
@@ -389,12 +391,14 @@ impl RdmaReplica {
             .unwrap_or_default()
     }
 
+    /// Whether the coordinator has work the retry tick may need to re-drive.
+    fn coordination_outstanding(&self) -> bool {
+        self.undecided_coordinated() > 0 || !self.admission.is_empty()
+    }
+
     fn arm_retry_timer(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        if !self.retry_timer_armed
-            && (self.undecided_coordinated() > 0 || !self.admission.is_empty())
-        {
-            ctx.set_timer(self.retry_interval, RETRY_TICK);
-            self.retry_timer_armed = true;
+        if self.coordination_outstanding() {
+            self.retry_net.arm(RETRY_TICK, ctx);
         }
     }
 
@@ -426,12 +430,17 @@ impl RdmaReplica {
     }
 
     /// Admits queued submissions into freed window slots (oldest first).
+    /// Called when a decision or handoff frees a slot, so it also cancels
+    /// the retry tick once nothing is outstanding (see [`SafetyNet`]).
     fn drain_admission(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
         while self.flow.admits(self.undecided_coordinated()) {
             let Some((tx, (payload, client))) = self.admission.pop() else {
                 break;
             };
             self.handle_certify(tx, payload, client, ctx);
+        }
+        if !self.coordination_outstanding() {
+            self.retry_net.disarm(ctx);
         }
     }
 
@@ -1415,7 +1424,7 @@ impl RdmaReplica {
     }
 
     fn handle_retry_tick(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        self.retry_timer_armed = false;
+        self.retry_net.reset();
         // Safety net: admit parked submissions even if a decision path was
         // missed (e.g. a handoff freed slots without deciding anything).
         self.drain_admission(ctx);
@@ -2317,7 +2326,7 @@ impl Actor<RdmaMsg> for RdmaReplica {
         self.in_flight = 0;
         self.pending_writes.clear();
         self.recon = None;
-        self.retry_timer_armed = false;
+        self.retry_net.reset();
         self.batcher = VoteBatcher::new(self.batching);
         self.batch_timer_armed = false;
         self.admission.clear();

@@ -14,7 +14,11 @@
 //! backend-agnostic: the simulator checks deadlines against virtual time, the
 //! threaded runtime against the wall clock, both through the same
 //! `Context::set_timer` seam.
+//!
+//! [`SafetyNet`] is the periodic tick that drives those retries: armed while
+//! work is outstanding, cancelled when none is.
 
+use crate::actor::{Context, TimerId, TimerTag};
 use crate::time::SimDuration;
 
 /// A capped exponential-backoff schedule with deterministic jitter.
@@ -136,6 +140,61 @@ impl BackoffState {
     }
 }
 
+/// A retry safety net: one periodic timer that is armed while its owner has
+/// work outstanding and cancelled as soon as it has none.
+///
+/// Every stack keeps such a timer (the coordinator retry tick, the baseline
+/// TM retry tick, the Paxos retransmit tick) so a lost message is eventually
+/// re-driven. A timer left armed after the last decision does nothing when
+/// it fires, but it holds an engine open: a threaded `run_to_quiescence`
+/// waits for it. [`SafetyNet::disarm`] cancels it and remembers its
+/// deadline; a later [`SafetyNet::arm`] reuses that deadline while it is
+/// still ahead, so in the simulator a retry fires at the same virtual time
+/// as if the timer had never been cancelled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SafetyNet {
+    /// The armed timer, if any.
+    armed: Option<TimerId>,
+    /// Deadline of the armed (or last cancelled) timer, in microseconds
+    /// since the time origin; 0 once it fired or the owner restarted.
+    deadline_micros: u64,
+}
+
+impl SafetyNet {
+    /// The retry interval of every safety net.
+    pub const INTERVAL: SimDuration = SimDuration::from_millis(20);
+
+    /// Arms the timer with tag `tag` unless it is armed already. It fires at
+    /// the deadline of the last cancelled timer if that is still ahead, else
+    /// one full [`SafetyNet::INTERVAL`] from now.
+    pub fn arm<M>(&mut self, tag: TimerTag, ctx: &mut Context<'_, M>) {
+        if self.armed.is_some() {
+            return;
+        }
+        let now = ctx.now().as_micros();
+        if self.deadline_micros <= now {
+            self.deadline_micros = now + Self::INTERVAL.as_micros();
+        }
+        let delay = SimDuration::from_micros(self.deadline_micros - now);
+        self.armed = Some(ctx.set_timer(delay, tag));
+    }
+
+    /// Cancels the armed timer, keeping its deadline for the next
+    /// [`SafetyNet::arm`].
+    pub fn disarm<M>(&mut self, ctx: &mut Context<'_, M>) {
+        if let Some(id) = self.armed.take() {
+            ctx.cancel_timer(id);
+        }
+    }
+
+    /// Forgets the timer: call from the tick handler (it fired) and from
+    /// `on_restart` (it died with the previous incarnation). The next
+    /// [`SafetyNet::arm`] waits a full interval.
+    pub fn reset(&mut self) {
+        *self = SafetyNet::default();
+    }
+}
+
 /// SplitMix64: a tiny, well-distributed integer hash (public domain
 /// constants), used for jitter so no shared RNG state is consumed.
 fn splitmix64(mut x: u64) -> u64 {
@@ -148,6 +207,11 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::Effect;
+    use crate::metrics::Metrics;
+    use crate::rdma::RdmaInbox;
+    use crate::time::SimTime;
+    use ratc_types::ProcessId;
 
     #[test]
     fn fixed_policy_never_grows_or_jitters() {
@@ -201,5 +265,88 @@ mod tests {
         s.reset(&p, 5, fire_at);
         assert_eq!(s.attempt, 0);
         assert_eq!(s.next_micros, fire_at + p.base.as_micros());
+    }
+
+    /// Runs `f` on a context at `now_micros` and returns the timer effects
+    /// it buffered: `(delay, None)` for a set, `(0, Some(id))` for a cancel.
+    fn with_ctx(
+        now_micros: u64,
+        next_timer: &mut u64,
+        f: impl FnOnce(&mut Context<'_, ()>),
+    ) -> Vec<(u64, Option<TimerId>)> {
+        let mut metrics = Metrics::default();
+        let mut inbox = RdmaInbox::default();
+        let mut next_token = 0;
+        let mut ctx = Context {
+            self_id: ProcessId::new(1),
+            now: SimTime::from_micros(now_micros),
+            hops: 0,
+            effects: Vec::new(),
+            metrics: &mut metrics,
+            inbox: &mut inbox,
+            next_timer_id: next_timer,
+            next_rdma_token: &mut next_token,
+        };
+        f(&mut ctx);
+        ctx.effects
+            .into_iter()
+            .filter_map(|effect| match effect {
+                Effect::SetTimer { delay, .. } => Some((delay.as_micros(), None)),
+                Effect::CancelTimer { id } => Some((0, Some(id))),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn safety_net_rearm_keeps_the_cancelled_deadline() {
+        let interval = SafetyNet::INTERVAL.as_micros();
+        let mut next_timer = 0;
+        let mut net = SafetyNet::default();
+        let set = with_ctx(1_000, &mut next_timer, |ctx| net.arm(9, ctx));
+        assert_eq!(set, vec![(interval, None)]);
+        // Arming an armed net is a no-op.
+        assert!(with_ctx(1_500, &mut next_timer, |ctx| net.arm(9, ctx)).is_empty());
+        let cancel = with_ctx(4_000, &mut next_timer, |ctx| net.disarm(ctx));
+        assert_eq!(cancel, vec![(0, Some(TimerId(0)))]);
+        // Disarming a disarmed net is a no-op.
+        assert!(with_ctx(4_500, &mut next_timer, |ctx| net.disarm(ctx)).is_empty());
+        // Re-armed before the old deadline: fires at the original time.
+        let rearm = with_ctx(9_000, &mut next_timer, |ctx| net.arm(9, ctx));
+        assert_eq!(rearm, vec![(1_000 + interval - 9_000, None)]);
+    }
+
+    #[test]
+    fn safety_net_rearm_after_the_deadline_waits_a_full_interval() {
+        let interval = SafetyNet::INTERVAL.as_micros();
+        let mut next_timer = 0;
+        let mut net = SafetyNet::default();
+        with_ctx(0, &mut next_timer, |ctx| net.arm(9, ctx));
+        with_ctx(100, &mut next_timer, |ctx| net.disarm(ctx));
+        // Exactly at the old deadline counts as passed.
+        let rearm = with_ctx(interval, &mut next_timer, |ctx| net.arm(9, ctx));
+        assert_eq!(rearm, vec![(interval, None)]);
+    }
+
+    #[test]
+    fn safety_net_fired_and_restart_both_reset() {
+        let interval = SafetyNet::INTERVAL.as_micros();
+        let mut next_timer = 0;
+        // The tick handler resets: the next arm waits a full interval.
+        let mut net = SafetyNet::default();
+        with_ctx(0, &mut next_timer, |ctx| net.arm(9, ctx));
+        net.reset();
+        assert!(with_ctx(interval, &mut next_timer, |ctx| net.disarm(ctx)).is_empty());
+        let after_fire = with_ctx(interval, &mut next_timer, |ctx| net.arm(9, ctx));
+        assert_eq!(after_fire, vec![(interval, None)]);
+        // A restart forgets a cancelled deadline that is still ahead, and
+        // a reset net has nothing to cancel.
+        let mut net = SafetyNet::default();
+        with_ctx(0, &mut next_timer, |ctx| net.arm(9, ctx));
+        with_ctx(100, &mut next_timer, |ctx| net.disarm(ctx));
+        net.reset();
+        assert!(with_ctx(200, &mut next_timer, |ctx| net.disarm(ctx)).is_empty());
+        let after_restart = with_ctx(200, &mut next_timer, |ctx| net.arm(9, ctx));
+        assert_eq!(after_restart, vec![(interval, None)]);
     }
 }

@@ -93,7 +93,7 @@ pub mod prelude {
 }
 
 pub use actor::{Actor, Context, TimerTag};
-pub use backoff::{BackoffPolicy, BackoffState};
+pub use backoff::{BackoffPolicy, BackoffState, SafetyNet};
 // Re-exported so protocol crates can stamp milestones through their existing
 // `ratc-sim` dependency without depending on `ratc-obs` themselves.
 pub use faults::{FaultScope, LinkFault};

@@ -3,8 +3,8 @@
 //! The deterministic simulator ([`World::run`](crate::world::World::run))
 //! executes every actor on one thread under a virtual clock. This module
 //! provides the second execution engine for the *same* world: each live
-//! process becomes a real OS thread, each link becomes a bounded MPSC
-//! channel, timers fire on the monotonic wall clock (`recv_timeout` against
+//! process becomes a real OS thread, each link becomes an MPSC channel,
+//! timers fire on the monotonic wall clock (`recv_timeout` against
 //! [`std::time::Instant`] deadlines), and `ctx.now()` advances with real
 //! elapsed time. Because a [`Context`] only *buffers*
 //! effects (they are applied after the handler returns), a thread never holds
@@ -28,17 +28,24 @@
 //!   order. Same-seed reproducibility is a simulator feature; the threaded
 //!   backend exists to measure wall-clock behaviour and to let real
 //!   concurrency attack ordering assumptions the simulator cannot.
-//! * **Links are bounded channels.** Each process owns one bounded channel
-//!   (`CHANNEL_CAPACITY` events); per-producer FIFO order of
-//!   [`std::sync::mpsc`] gives per-link FIFO. A full channel never blocks a
-//!   worker (which would risk distributed deadlock at shutdown): the sender
-//!   buffers the event locally and retries, which preserves the reliable-link
-//!   abstraction the protocols assume.
-//! * **Every blocking receive is time-bounded.** Workers wait in
-//!   `recv_timeout` with a capped poll interval, and the driver bounds whole
-//!   runs with [`QUIESCENCE_TIMEOUT`], so a deadlocked or livelocked run
-//!   fails fast (the run returns with work still pending and the suite's
-//!   assertions fail) instead of hanging a test job.
+//! * **Links are unbounded channels.** Each process owns one
+//!   [`std::sync::mpsc::channel`]; its per-producer FIFO order gives
+//!   per-link FIFO. A send never blocks, so no worker can wait on another
+//!   (no distributed deadlock), and the channel allocates memory only as
+//!   traffic arrives. The reliable-link abstraction the protocols assume
+//!   holds without any local retry buffer.
+//! * **Wake, don't poll.** An idle worker blocks in `recv`, or in
+//!   `recv_timeout` until its next timer. The worker whose decrement of the
+//!   in-flight count reaches zero unparks the driver, which otherwise
+//!   sleeps until the run's deadline. A run therefore ends as soon as the
+//!   cluster has nothing left to do, and a deadlocked or livelocked run
+//!   still fails fast: the driver gives up at the `until` deadline or at
+//!   [`QUIESCENCE_TIMEOUT`] and wakes every worker with a `Stop` sentinel
+//!   (the run returns with work still pending and the suite's assertions
+//!   fail) instead of hanging a test job.
+//! * **Startup is not run time.** The run's clock starts once every worker
+//!   thread is running, so spawning threads does not count as protocol
+//!   time.
 //! * **Sim-only features.** Fault injection, latency models, transport
 //!   tracing and `max_steps` apply only to the simulator; the threaded
 //!   backend models a reliable LAN where real scheduling provides the
@@ -49,8 +56,9 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Mutex;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Mutex, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use ratc_types::ProcessId;
@@ -72,7 +80,7 @@ use crate::world::World;
 ///   transport tracing. Identical seeds give bit-identical runs, which is
 ///   what every chaos soak, shrunk schedule and Figure 4a hunt relies on.
 /// * [`ExecutionMode::Threads`] — the threaded runtime in this module: one
-///   OS thread per process, bounded channels as links, timers and latencies
+///   OS thread per process, unbounded channels as links, timers and latencies
 ///   on the monotonic wall clock. Runs are *not* reproducible event-by-event
 ///   (real scheduling decides interleavings) but externalise the same
 ///   protocol-level semantics, and are the only way to measure real
@@ -86,7 +94,7 @@ pub enum ExecutionMode {
     /// Deterministic single-threaded simulation under a virtual clock.
     #[default]
     Sim,
-    /// One OS thread per process, real time, bounded channels.
+    /// One OS thread per process, real time, channels as links.
     Threads,
 }
 
@@ -105,21 +113,6 @@ impl fmt::Display for ExecutionMode {
 /// hanging it.
 pub const QUIESCENCE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Capacity of each process's event channel. Senders never block on a full
-/// channel (see the module docs); the bound exists to keep memory use
-/// proportional to genuine in-flight traffic.
-const CHANNEL_CAPACITY: usize = 8192;
-
-/// Upper bound on how long a worker sleeps in `recv_timeout` when it has
-/// nothing to do: the resolution at which it notices the stop flag.
-const IDLE_POLL: Duration = Duration::from_millis(5);
-
-/// Retry interval for events buffered because the target channel was full.
-const OVERFLOW_RETRY: Duration = Duration::from_millis(1);
-
-/// Wall-clock bound on the shutdown drain phase.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
-
 /// Size of the timer-id / RDMA-token space carved out per worker per run, so
 /// threads can allocate identifiers without synchronising.
 const ID_STRIPE: u64 = 1 << 24;
@@ -137,13 +130,13 @@ enum RtEvent<M> {
     },
     /// This process's poller should deliver inbox entry `index`.
     RdmaDeliver { index: usize, hops: u32 },
-    /// Shutdown sentinel: wake up and enter the drain phase.
+    /// Shutdown sentinel: wake up and return.
     Stop,
 }
 
-/// A pending timer on a worker's local heap, ordered by deadline.
+/// A pending timer on a worker's local heap, ordered by (virtual) deadline.
 struct RtTimer {
-    deadline: Instant,
+    deadline: SimTime,
     id: TimerId,
     tag: TimerTag,
 }
@@ -167,25 +160,37 @@ impl Ord for RtTimer {
 
 /// State shared by the driver and every worker for the duration of a run.
 ///
-/// Memory-ordering protocol (one happens-before edge per atomic):
+/// Memory-ordering protocol (one happens-before edge per item):
 ///
 /// * [`Shared::pending`] — `AcqRel` RMWs; the increment (Release half)
 ///   happens-before the driver's `Acquire` load in the quiescence loop, so
 ///   when the driver reads 0 every enqueue that preceded the matching
 ///   decrement is visible and the run really is quiescent. The increment
-///   is issued *before* the `try_send`/timer-arm it covers so the counter
+///   is issued *before* the send/timer-arm it covers so the counter
 ///   over-approximates in-flight work, never under-approximates it.
+/// * The decrement that reaches 0 happens-before the driver's unpark and
+///   load: the worker's `fetch_sub` precedes its `unpark` of
+///   [`Shared::driver`] in program order, and the driver's `Acquire` load
+///   after `park_timeout` returns reads that 0 or a later value. A park
+///   token set before the driver parks makes the park return at once, so
+///   no wake-up is lost.
 /// * [`Shared::stopping`] — driver `Release` store, worker `Acquire` loads:
 ///   everything the driver did before requesting the stop (including the
 ///   quiescence decision) happens-before a worker observing `true`.
-/// * [`Shared::retired`] — `AcqRel` `fetch_add` pledge / `Acquire` load:
-///   a worker's pledge (and every send it issued before pledging)
-///   happens-before another worker observing the full retirement count,
-///   so the drain phase cannot terminate while a pledged send is invisible.
+/// * [`Shared::ready`] — `AcqRel` `fetch_add` on arrival, `Acquire` load
+///   by the driver; the last arrival unparks the driver, which then takes
+///   the epoch, so every worker is running before the clock starts.
+/// * [`Shared::epoch`] — a [`OnceLock`] the driver sets once every worker
+///   has arrived. Until then `now()` reads `start_now`: a carried-over
+///   timer that is already due fires at the run's start time.
 /// * [`Shared::rejected`] — `Relaxed` `fetch_add` is sufficient: the
 ///   counter guards no other memory, atomic RMWs never lose increments,
 ///   and the final read happens after `std::thread::scope` joins every
 ///   worker, which already orders all their increments before it.
+///
+/// Events left in a channel at the stop are drained by the driver after it
+/// joins every worker: no send can happen after the joins, and the joins
+/// order every send before the drain.
 struct Shared<M> {
     /// Processes that have a thread (i.e. were not crashed at run start).
     live: BTreeSet<ProcessId>,
@@ -193,12 +198,13 @@ struct Shared<M> {
     /// event currently being handled. Zero means quiescent.
     /// Increment-before-send / decrement-after-handle, `AcqRel`.
     pending: AtomicI64,
+    /// The driver thread, unparked by the decrement that reaches 0.
+    driver: Thread,
     /// Set by the driver to end the run. Store `Release`, load `Acquire`.
     stopping: AtomicBool,
-    /// Workers that have finished their main loop and pledged to send no
-    /// further events; the drain phase completes when all have. `AcqRel`
-    /// pledge, `Acquire` poll.
-    retired: AtomicUsize,
+    /// Workers that have started running; the last to arrive unparks the
+    /// driver. `AcqRel` increment, `Acquire` load.
+    ready: AtomicUsize,
     /// RDMA permission sets (`allowed[owner]` = peers that may write).
     perms: Mutex<BTreeMap<ProcessId, BTreeSet<ProcessId>>>,
     /// RDMA inboxes, one lock per owner. A worker locks its own inbox only
@@ -209,18 +215,38 @@ struct Shared<M> {
     /// increments; completeness comes from the scope join (see above), not
     /// from this atomic's ordering.
     rejected: AtomicU64,
-    /// Wall-clock origin of the run; `now()` is `start_now` + elapsed.
-    epoch: Instant,
+    /// Wall-clock origin of the run, taken once every worker is running;
+    /// `now()` is `start_now` + elapsed.
+    epoch: OnceLock<Instant>,
     /// Virtual time at which the run started.
     start_now: SimTime,
 }
 
 impl<M> Shared<M> {
+    /// Reports a worker as running; the last arrival wakes the driver.
+    fn arrive(&self) {
+        if self.ready.fetch_add(1, Ordering::AcqRel) + 1 == self.live.len() {
+            self.driver.unpark();
+        }
+    }
+
     /// The current virtual time: run start plus real elapsed microseconds
     /// (monotonic, from [`Instant`]), so `DecisionLatency::micros` measured
     /// on this backend is genuine wall-clock latency.
     fn now(&self) -> SimTime {
-        self.start_now + SimDuration::from_micros(self.epoch.elapsed().as_micros() as u64)
+        let elapsed = self
+            .epoch
+            .get()
+            .map_or(0, |epoch| epoch.elapsed().as_micros());
+        self.start_now + SimDuration::from_micros(elapsed as u64)
+    }
+
+    /// Retires one unit of in-flight work; the decrement that reaches 0
+    /// wakes the driver.
+    fn retire(&self) {
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.driver.unpark();
+        }
     }
 
     /// Lands an RDMA write in `to`'s memory if `from` may write there.
@@ -248,12 +274,10 @@ struct WorkerDone<M> {
     pid: ProcessId,
     actor: Box<dyn Actor<M>>,
     metrics: Metrics,
-    /// Events drained from this process's channel after the stop.
-    leftovers: Vec<RtEvent<M>>,
-    /// Events this worker could not send (target channel full at stop).
-    unsent: Vec<(ProcessId, RtEvent<M>)>,
+    /// This process's channel, drained by the driver after every join.
+    rx: Receiver<RtEvent<M>>,
     /// Timers still armed at stop, with their original incarnation.
-    timers: Vec<(Instant, TimerId, TimerTag)>,
+    timers: BinaryHeap<Reverse<RtTimer>>,
     /// Cancellations that found no local timer (already fired elsewhere).
     cancels: Vec<TimerId>,
     incarnation: u64,
@@ -265,10 +289,9 @@ struct Worker<'s, M> {
     pid: ProcessId,
     actor: Box<dyn Actor<M>>,
     shared: &'s Shared<M>,
-    senders: BTreeMap<ProcessId, SyncSender<RtEvent<M>>>,
+    senders: BTreeMap<ProcessId, Sender<RtEvent<M>>>,
     rx: Receiver<RtEvent<M>>,
     timers: BinaryHeap<Reverse<RtTimer>>,
-    overflow: Vec<(ProcessId, RtEvent<M>)>,
     metrics: Metrics,
     next_timer_id: u64,
     next_rdma_token: u64,
@@ -279,27 +302,37 @@ struct Worker<'s, M> {
 
 impl<'s, M: Clone + fmt::Debug + Send + 'static> Worker<'s, M> {
     fn run(mut self) -> WorkerDone<M> {
+        self.shared.arrive();
         loop {
             if self.shared.stopping.load(Ordering::Acquire) {
                 break;
             }
-            self.flush_overflow();
             self.fire_due_timers();
-            let mut timeout = IDLE_POLL;
-            if let Some(Reverse(timer)) = self.timers.peek() {
-                timeout = timeout.min(timer.deadline.saturating_duration_since(Instant::now()));
-            }
-            if !self.overflow.is_empty() {
-                timeout = timeout.min(OVERFLOW_RETRY);
-            }
-            match self.rx.recv_timeout(timeout) {
+            let received = match self.timers.peek() {
+                Some(Reverse(timer)) => {
+                    let now = self.shared.now().as_micros();
+                    let wait = timer.deadline.as_micros().saturating_sub(now);
+                    self.rx.recv_timeout(Duration::from_micros(wait))
+                }
+                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match received {
                 Ok(RtEvent::Stop) => break,
                 Ok(event) => self.handle(event),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        self.drain()
+        WorkerDone {
+            pid: self.pid,
+            actor: self.actor,
+            metrics: self.metrics,
+            rx: self.rx,
+            timers: self.timers,
+            cancels: self.cancels,
+            incarnation: self.incarnation,
+            events_processed: self.events_processed,
+        }
     }
 
     /// Processes one channel event: upcall, effects, accounting.
@@ -343,7 +376,7 @@ impl<'s, M: Clone + fmt::Debug + Send + 'static> Worker<'s, M> {
             }
             RtEvent::Stop => unreachable!("Stop is consumed by the main loop"),
         }
-        self.shared.pending.fetch_sub(1, Ordering::AcqRel);
+        self.shared.retire();
         self.events_processed += 1;
     }
 
@@ -351,14 +384,14 @@ impl<'s, M: Clone + fmt::Debug + Send + 'static> Worker<'s, M> {
         loop {
             let due = matches!(
                 self.timers.peek(),
-                Some(Reverse(timer)) if timer.deadline <= Instant::now()
+                Some(Reverse(timer)) if timer.deadline <= self.shared.now()
             );
             if !due || self.shared.stopping.load(Ordering::Acquire) {
                 break;
             }
             let Reverse(timer) = self.timers.pop().expect("peeked");
             self.invoke(Upcall::Timer { tag: timer.tag }, 0);
-            self.shared.pending.fetch_sub(1, Ordering::AcqRel);
+            self.shared.retire();
             self.events_processed += 1;
         }
     }
@@ -470,7 +503,7 @@ impl<'s, M: Clone + fmt::Debug + Send + 'static> Worker<'s, M> {
                 }
                 Effect::SetTimer { delay, tag, id } => {
                     self.timers.push(Reverse(RtTimer {
-                        deadline: Instant::now() + Duration::from_micros(delay.as_micros()),
+                        deadline: self.shared.now() + delay,
                         id,
                         tag,
                     }));
@@ -482,36 +515,8 @@ impl<'s, M: Clone + fmt::Debug + Send + 'static> Worker<'s, M> {
     }
 
     /// Counts the event as pending, then hands it to the target channel.
-    /// A full channel buffers the event locally instead of blocking (see
-    /// the module docs for why blocking could deadlock the shutdown drain).
     fn enqueue(&mut self, to: ProcessId, event: RtEvent<M>) {
-        if !self.shared.live.contains(&to) {
-            return; // crashed or unknown target: dropped, like the simulator
-        }
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        match self.senders.get(&to).expect("live sender").try_send(event) {
-            Ok(()) => {}
-            Err(TrySendError::Full(event)) => self.overflow.push((to, event)),
-            Err(TrySendError::Disconnected(_)) => {
-                self.shared.pending.fetch_sub(1, Ordering::AcqRel);
-            }
-        }
-    }
-
-    fn flush_overflow(&mut self) {
-        if self.overflow.is_empty() {
-            return;
-        }
-        let buffered = std::mem::take(&mut self.overflow);
-        for (to, event) in buffered {
-            match self.senders.get(&to).expect("live sender").try_send(event) {
-                Ok(()) => {}
-                Err(TrySendError::Full(event)) => self.overflow.push((to, event)),
-                Err(TrySendError::Disconnected(_)) => {
-                    self.shared.pending.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-        }
+        send_counted(self.shared, self.senders.get(&to), event);
     }
 
     /// Cancels a timer on the local heap; a miss (already fired, or armed
@@ -525,52 +530,22 @@ impl<'s, M: Clone + fmt::Debug + Send + 'static> Worker<'s, M> {
             .collect();
         self.timers = kept;
         if self.timers.len() < before {
-            self.shared.pending.fetch_sub(1, Ordering::AcqRel);
+            self.shared.retire();
         } else {
             self.cancels.push(id);
         }
     }
+}
 
-    /// Shutdown: pledge to send nothing further, then drain the channel
-    /// until every worker has made the same pledge and the channel is empty.
-    /// Bounded by [`DRAIN_TIMEOUT`] so one stuck thread cannot hang the run.
-    fn drain(self) -> WorkerDone<M> {
-        self.shared.retired.fetch_add(1, Ordering::AcqRel);
-        let deadline = Instant::now() + DRAIN_TIMEOUT;
-        let mut leftovers = Vec::new();
-        loop {
-            while let Ok(event) = self.rx.try_recv() {
-                if !matches!(event, RtEvent::Stop) {
-                    leftovers.push(event);
-                }
-            }
-            let all_retired = self.shared.retired.load(Ordering::Acquire) >= self.shared.live.len();
-            if all_retired || Instant::now() >= deadline {
-                while let Ok(event) = self.rx.try_recv() {
-                    if !matches!(event, RtEvent::Stop) {
-                        leftovers.push(event);
-                    }
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        WorkerDone {
-            pid: self.pid,
-            actor: self.actor,
-            metrics: self.metrics,
-            leftovers,
-            unsent: self.overflow,
-            timers: self
-                .timers
-                .into_sorted_vec()
-                .into_iter()
-                .map(|Reverse(timer)| (timer.deadline, timer.id, timer.tag))
-                .collect(),
-            cancels: self.cancels,
-            incarnation: self.incarnation,
-            events_processed: self.events_processed,
-        }
+/// Counts `event` as pending, then sends it on `to`, the target's channel
+/// (`None`: a crashed or unknown target, dropped like in the simulator).
+fn send_counted<M>(shared: &Shared<M>, to: Option<&Sender<RtEvent<M>>>, event: RtEvent<M>) {
+    let Some(sender) = to else {
+        return;
+    };
+    shared.pending.fetch_add(1, Ordering::AcqRel);
+    if sender.send(event).is_err() {
+        shared.retire();
     }
 }
 
@@ -621,8 +596,7 @@ where
     seeded.reverse(); // `Reverse` sorts descending; restore (time, seq) order
 
     let mut channel_seeds: Vec<EventKind<M>> = Vec::new();
-    let mut timer_seeds: BTreeMap<ProcessId, Vec<(SimDuration, TimerId, TimerTag)>> =
-        BTreeMap::new();
+    let mut timer_seeds: BTreeMap<ProcessId, Vec<RtTimer>> = BTreeMap::new();
     for QueuedEvent { time, kind, .. } in seeded {
         match kind {
             EventKind::Crash { at } => {
@@ -643,13 +617,11 @@ where
                 {
                     continue;
                 }
-                let remaining = SimDuration::from_micros(
-                    time.as_micros().saturating_sub(start_now.as_micros()),
-                );
-                timer_seeds
-                    .entry(at)
-                    .or_default()
-                    .push((remaining, id, tag));
+                timer_seeds.entry(at).or_default().push(RtTimer {
+                    deadline: time,
+                    id,
+                    tag,
+                });
             }
             other => channel_seeds.push(other),
         }
@@ -680,10 +652,10 @@ where
     let base_timer_id = world.next_timer_id;
     let base_rdma_token = world.next_rdma_token;
 
-    let mut senders: BTreeMap<ProcessId, SyncSender<RtEvent<M>>> = BTreeMap::new();
+    let mut senders: BTreeMap<ProcessId, Sender<RtEvent<M>>> = BTreeMap::new();
     let mut receivers: BTreeMap<ProcessId, Receiver<RtEvent<M>>> = BTreeMap::new();
     for pid in &live {
-        let (tx, rx) = sync_channel(CHANNEL_CAPACITY);
+        let (tx, rx) = channel();
         senders.insert(*pid, tx);
         receivers.insert(*pid, rx);
     }
@@ -691,8 +663,9 @@ where
     let shared = Shared {
         live: live.clone(),
         pending: AtomicI64::new(0),
+        driver: std::thread::current(),
         stopping: AtomicBool::new(false),
-        retired: AtomicUsize::new(0),
+        ready: AtomicUsize::new(0),
         perms: Mutex::new(perms),
         inboxes: world
             .actors
@@ -700,14 +673,14 @@ where
             .map(|pid| (*pid, Mutex::new(inboxes.remove(pid).unwrap_or_default())))
             .collect(),
         rejected: AtomicU64::new(0),
-        epoch: Instant::now(),
+        epoch: OnceLock::new(),
         start_now,
     };
 
     let mut dones: Vec<WorkerDone<M>> = Vec::with_capacity(live.len());
     let mut seed_rejected = 0u64;
 
-    std::thread::scope(|scope| {
+    let epoch = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(live.len());
         for (index, pid) in live.iter().copied().enumerate() {
             let actor = world
@@ -719,15 +692,11 @@ where
                 .remove(&pid)
                 .unwrap_or_default()
                 .into_iter()
-                .map(|(remaining, id, tag)| {
-                    shared.pending.fetch_add(1, Ordering::AcqRel);
-                    Reverse(RtTimer {
-                        deadline: shared.epoch + Duration::from_micros(remaining.as_micros()),
-                        id,
-                        tag,
-                    })
-                })
+                .map(Reverse)
                 .collect();
+            shared
+                .pending
+                .fetch_add(timers.len() as i64, Ordering::AcqRel);
             let worker = Worker {
                 pid,
                 actor,
@@ -735,7 +704,6 @@ where
                 senders: senders.clone(),
                 rx: receivers.remove(&pid).expect("receiver"),
                 timers,
-                overflow: Vec::new(),
                 // Per-worker collectors inherit the observability switch so
                 // milestone stamps recorded on worker threads survive the
                 // post-run `absorb` into the world's collector, and the
@@ -755,16 +723,15 @@ where
             handles.push(scope.spawn(move || worker.run()));
         }
 
+        // -- start: the clock starts once every worker is running ----------
+        while shared.ready.load(Ordering::Acquire) < live.len() {
+            std::thread::park();
+        }
+        let epoch = *shared.epoch.get_or_init(Instant::now);
+
         // -- seed: inject the pending events; threads are already draining --
-        let seed = |to: ProcessId, event: RtEvent<M>| {
-            if !shared.live.contains(&to) {
-                return;
-            }
-            shared.pending.fetch_add(1, Ordering::AcqRel);
-            if senders.get(&to).expect("live sender").send(event).is_err() {
-                shared.pending.fetch_sub(1, Ordering::AcqRel);
-            }
-        };
+        let seed =
+            |to: ProcessId, event: RtEvent<M>| send_counted(&shared, senders.get(&to), event);
         for kind in channel_seeds {
             match kind {
                 EventKind::Deliver {
@@ -821,61 +788,54 @@ where
         }
 
         // -- wait: quiescence, the virtual deadline, or the hard timeout ----
-        let until_deadline = until.map(|until| {
-            shared.epoch
-                + Duration::from_micros(until.as_micros().saturating_sub(start_now.as_micros()))
+        // Seeding is complete, so a count of 0 is quiescence; the worker
+        // whose decrement reaches 0 unparks this thread.
+        let hard_deadline = epoch + QUIESCENCE_TIMEOUT;
+        let deadline = until.map_or(hard_deadline, |until| {
+            let until = epoch
+                + Duration::from_micros(until.as_micros().saturating_sub(start_now.as_micros()));
+            until.min(hard_deadline)
         });
-        let hard_deadline = shared.epoch + QUIESCENCE_TIMEOUT;
-        loop {
-            if shared.pending.load(Ordering::Acquire) <= 0 {
-                break;
-            }
+        while shared.pending.load(Ordering::Acquire) > 0 {
             let now = Instant::now();
-            if until_deadline.is_some_and(|deadline| now >= deadline) || now >= hard_deadline {
+            if now >= deadline {
                 break;
             }
-            std::thread::sleep(Duration::from_micros(500));
+            std::thread::park_timeout(deadline - now);
         }
 
-        // -- stop: flag + sentinel (never blocks), then join ----------------
+        // -- stop: flag + sentinel (an unbounded send), then join ----------
         shared.stopping.store(true, Ordering::Release);
-        for pid in &live {
-            let _ = senders.get(pid).expect("sender").try_send(RtEvent::Stop);
+        for sender in senders.values() {
+            let _ = sender.send(RtEvent::Stop);
         }
         for handle in handles {
             dones.push(handle.join().expect("worker thread panicked"));
         }
+        epoch
     });
 
     // -- restore: clock, actors, metrics, fabric, surviving work ------------
-    let elapsed = SimDuration::from_micros(shared.epoch.elapsed().as_micros() as u64);
-    world.now = start_now + elapsed;
+    world.now = start_now + SimDuration::from_micros(epoch.elapsed().as_micros() as u64);
     if let Some(until) = until {
         if world.now < until {
             world.now = until;
         }
     }
-    let end = Instant::now();
     let mut total_events = 0u64;
     for done in dones {
         total_events += done.events_processed;
         world.metrics.absorb(done.metrics);
-        for event in done.leftovers {
+        // Every worker has joined, so no event can still be in flight:
+        // what the channel holds now is all that was sent to `done.pid`.
+        for event in done.rx.try_iter() {
             if let Some(kind) = requeue(done.pid, event) {
                 world.push_event(world.now, kind);
             }
         }
-        for (to, event) in done.unsent {
-            if let Some(kind) = requeue(to, event) {
-                world.push_event(world.now, kind);
-            }
-        }
-        for (deadline, id, tag) in done.timers {
-            let remaining = SimDuration::from_micros(
-                deadline.saturating_duration_since(end).as_micros() as u64,
-            );
+        for Reverse(RtTimer { deadline, id, tag }) in done.timers.into_sorted_vec() {
             world.push_event(
-                world.now + remaining,
+                deadline.max(world.now),
                 EventKind::Timer {
                     at: done.pid,
                     id,
@@ -979,14 +939,26 @@ mod tests {
         assert_eq!(w.metrics().total_delivered, 2);
     }
 
+    /// One handler sends more notes than the 8,192 events a link once
+    /// held, the burst that used to spill into a sender-side overflow
+    /// buffer; the receiver still sees them in order.
     #[test]
     fn threaded_fifo_order_is_preserved_per_link() {
-        let mut w = World::new(SimConfig::default());
-        let a = w.add_actor(Recorder::default());
-        let b = w.add_actor(Recorder::default());
-        for i in 0..200 {
-            w.send_from(a, b, Msg::Note(i));
+        const NOTES: u64 = 10_000;
+        struct Burster {
+            to: ProcessId,
         }
+        impl Actor<Msg> for Burster {
+            fn on_message(&mut self, _f: ProcessId, _m: Msg, ctx: &mut Context<'_, Msg>) {
+                for i in 0..NOTES {
+                    ctx.send(self.to, Msg::Note(i));
+                }
+            }
+        }
+        let mut w = World::new(SimConfig::default());
+        let b = w.add_actor(Recorder::default());
+        let a = w.add_actor(Burster { to: b });
+        w.send_external(a, Msg::Ping);
         w.run_threaded();
         let notes: Vec<u64> = w
             .actor::<Recorder>(b)
@@ -998,7 +970,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(notes, (0..200).collect::<Vec<_>>());
+        assert_eq!(notes, (0..NOTES).collect::<Vec<_>>());
     }
 
     #[test]

@@ -270,6 +270,8 @@ pub fn check_conformance_with(
 
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use super::*;
 
     fn conforms(stack: StackKind) {
@@ -319,6 +321,53 @@ mod tests {
     #[test]
     fn baseline_conforms_on_the_threaded_backend() {
         conforms_threaded(StackKind::Baseline);
+    }
+
+    /// Five rounds of 16 disjoint transactions on the threaded engine, each
+    /// followed by `run_to_quiescence`: the median round ends well inside
+    /// the stacks' 20 ms retry interval, because a coordinator whose last
+    /// transaction decided cancels its retry tick instead of holding the
+    /// engine open until it fires.
+    fn threaded_rounds_end_before_the_retry_interval(stack: StackKind) {
+        let mut cluster = ClusterSpec::new(stack)
+            .with_shards(2)
+            .with_seed(9)
+            .with_execution(ExecutionMode::Threads)
+            .build();
+        let mut rounds = Vec::new();
+        for round in 0..5u64 {
+            let start = Instant::now();
+            for i in 0..16u64 {
+                let tx = TxId::new(round * 16 + i + 1);
+                cluster.submit(tx, rw(&format!("round-{round}-{i}"), 1));
+            }
+            cluster.run_to_quiescence();
+            rounds.push(start.elapsed());
+        }
+        let history = cluster.history();
+        assert_eq!(history.committed().count(), 80, "{stack}: every tx commits");
+        assert!(cluster.client_violations().is_empty(), "{stack}");
+        rounds.sort();
+        let median = rounds[rounds.len() / 2];
+        assert!(
+            median < Duration::from_millis(20),
+            "{stack}: median round {median:?} waited for a retry tick ({rounds:?})"
+        );
+    }
+
+    #[test]
+    fn core_threaded_rounds_end_before_the_retry_interval() {
+        threaded_rounds_end_before_the_retry_interval(StackKind::Core);
+    }
+
+    #[test]
+    fn rdma_threaded_rounds_end_before_the_retry_interval() {
+        threaded_rounds_end_before_the_retry_interval(StackKind::Rdma);
+    }
+
+    #[test]
+    fn baseline_threaded_rounds_end_before_the_retry_interval() {
+        threaded_rounds_end_before_the_retry_interval(StackKind::Baseline);
     }
 
     /// Runs a workload whose per-transaction outcomes are *forced* (disjoint
