@@ -14,7 +14,8 @@
 //! # Lint catalog
 //!
 //! Determinism lints (protocol crates: `types`, `config`, `core`, `rdma`,
-//! `baseline`, `paxos`, `sim` — minus the `rt.rs` threaded engine):
+//! `baseline`, `paxos`, `sim`, and `harness`, whose cluster shell and client
+//! actor are replayed state — minus the `rt.rs` threaded engine):
 //!
 //! * `hash-iter` — iteration over a `HashMap`/`HashSet` unless the site
 //!   visibly sorts or reduces order-insensitively.
@@ -36,7 +37,8 @@
 //! * `unpaired-batch` — a `*Batch` variant with no unbatched twin.
 //! * `milestone-parity` — a `TxMilestone`/`CtrlMilestone` variant not
 //!   stamped by all three stacks (core, rdma, baseline; stamps in the shared
-//!   `sim`/`chaos` engines count for every stack).
+//!   `sim`/`chaos` engines and the `harness` cluster shell count for every
+//!   stack).
 //!
 //! Pragma hygiene:
 //!
@@ -186,8 +188,8 @@ pub(crate) struct Prepared {
 
 /// Crates whose code is replayed protocol state: the determinism lints
 /// (`hash-iter`, `float-state`) apply here.
-const DETERMINISM_CRATES: [&str; 7] = [
-    "types", "config", "core", "rdma", "baseline", "paxos", "sim",
+const DETERMINISM_CRATES: [&str; 8] = [
+    "types", "config", "core", "rdma", "baseline", "paxos", "sim", "harness",
 ];
 
 /// The one file allowed to touch OS threads, channels and wall-clock: the
@@ -198,9 +200,10 @@ const RT_ENGINE: &str = "crates/sim/src/rt.rs";
 pub(crate) const STACKS: [&str; 3] = ["core", "rdma", "baseline"];
 
 /// Engine crates whose milestone stamps count for every stack (the sim
-/// world and chaos harness stamp crash/fault lifecycle events on behalf of
-/// whichever stack is running).
-pub(crate) const SHARED_STAMPERS: [&str; 2] = ["sim", "chaos"];
+/// world and chaos harness stamp crash/fault lifecycle events, and the
+/// cluster shell stamps submission and client-learned decisions, on behalf
+/// of whichever stack is running).
+pub(crate) const SHARED_STAMPERS: [&str; 3] = ["sim", "chaos", "harness"];
 
 pub(crate) fn crate_of(path: &str) -> Option<&str> {
     path.strip_prefix("crates/")?.split('/').next()

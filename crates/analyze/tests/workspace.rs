@@ -150,3 +150,30 @@ fn seeded_unjustified_allow_trips_the_gate() {
         .iter()
         .any(|f| f.lint == Lint::MalformedAllow && f.file == "crates/core/src/seeded_mutation.rs"));
 }
+
+/// Acceptance pin: `Submitted` is stamped in one place for every stack —
+/// the cluster shell's `submit_via`. Deleting that stamp must leave the
+/// milestone unstamped on all three stacks and trip `milestone-parity`.
+#[test]
+fn seeded_removal_of_the_shell_submitted_stamp_trips_milestone_parity() {
+    let mut files = live_files();
+    let shell = files
+        .iter_mut()
+        .find(|f| f.path == "crates/harness/src/cluster.rs")
+        .expect("cluster shell present");
+    let stamp = "self.world.obs_milestone(tx, TxMilestone::Submitted, client);";
+    assert!(shell.text.contains(stamp), "the shell stamps `Submitted`");
+    shell.text = shell.text.replace(stamp, "");
+    let findings = analyze_files(&files);
+    assert!(
+        findings.iter().any(|f| f.lint == Lint::MilestoneParity
+            && f.message.contains("TxMilestone::Submitted")
+            && f.message.contains("core, rdma, baseline")),
+        "deleting the shell's stamp must be flagged, got:\n{}",
+        findings
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}

@@ -17,8 +17,8 @@
 //!   protocols, but every prepared vote is committed to the shard's
 //!   Multi-Paxos log (2 extra message delays) before it is reported back to
 //!   the transaction manager;
-//! * [`BaselineCluster`] — the deployment harness mirroring
-//!   `ratc_core::Cluster`.
+//! * deployment lives in `ratc-harness` (its `BaselineStack`), which runs
+//!   this protocol in the same cluster shell as the RATC stacks.
 //!
 //! Failure handling: with `2f + 1` replicas a single failure is *masked* (the
 //! Paxos quorum still exists), which is the availability advantage the paper
@@ -28,12 +28,10 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod cluster;
 pub mod messages;
 pub mod replica;
 pub mod tm;
 
-pub use cluster::{BaselineCluster, BaselineClusterConfig};
 pub use messages::{BaselineMsg, ShardCommand, TmCommand};
 pub use replica::BaselineShardReplica;
 pub use tm::TransactionManager;

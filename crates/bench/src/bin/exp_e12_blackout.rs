@@ -15,10 +15,11 @@
 //!   event log (loadable in `chrome://tracing` / Perfetto).
 //! * `--trace` prints only that Chrome trace document.
 
-use ratc_chaos::{blackout_experiment, BlackoutResult, BlackoutScenario, Stack};
+use ratc_chaos::{blackout_experiment, BlackoutResult, BlackoutScenario};
 use ratc_sim::{Blackout, CtrlEvent};
+use ratc_workload::StackKind;
 
-const STACKS: [Stack; 3] = [Stack::Core, Stack::Rdma, Stack::Baseline];
+const STACKS: [StackKind; 3] = [StackKind::Core, StackKind::Rdma, StackKind::Baseline];
 const SEED: u64 = 42;
 
 fn main() {

@@ -6,9 +6,10 @@
 //!
 //! `--json` replaces the table with one machine-readable JSON object.
 
-use ratc_chaos::{availability_experiment, AvailabilityResult, Stack};
+use ratc_chaos::{availability_experiment, AvailabilityResult};
+use ratc_workload::StackKind;
 
-const STACKS: [Stack; 3] = [Stack::Core, Stack::Rdma, Stack::Baseline];
+const STACKS: [StackKind; 3] = [StackKind::Core, StackKind::Rdma, StackKind::Baseline];
 const INTENSITIES: [u8; 5] = [0, 20, 40, 60, 80];
 const SEED: u64 = 42;
 

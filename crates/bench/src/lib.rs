@@ -374,13 +374,14 @@ pub mod json {
 
         #[test]
         fn availability_and_blackout_rows_carry_msgs_per_tx() {
-            use ratc_chaos::{BlackoutScenario, Stack};
+            use ratc_chaos::BlackoutScenario;
+            use ratc_workload::StackKind;
             let per_tx = vec![
                 (String::from("Certify"), 1.0),
                 (String::from("Prepare"), 1.5),
             ];
             let row = blackout(&BlackoutResult {
-                stack: Stack::Core,
+                stack: StackKind::Core,
                 scenario: BlackoutScenario::LeaderCrash,
                 submitted: 60,
                 committed: 28,
@@ -398,7 +399,7 @@ pub mod json {
                 "{row}"
             );
             let row = availability(&AvailabilityResult {
-                stack: Stack::Baseline,
+                stack: StackKind::Baseline,
                 intensity: 40,
                 submitted: 60,
                 committed: 30,
@@ -417,9 +418,10 @@ pub mod json {
         /// the row says `"n/a"`, never a vacuous 0.
         #[test]
         fn blackout_row_without_a_closed_window_reads_na() {
-            use ratc_chaos::{BlackoutScenario, Stack};
+            use ratc_chaos::BlackoutScenario;
+            use ratc_workload::StackKind;
             let row = blackout(&BlackoutResult {
-                stack: Stack::Baseline,
+                stack: StackKind::Baseline,
                 scenario: BlackoutScenario::ShardReconfig,
                 submitted: 60,
                 committed: 60,

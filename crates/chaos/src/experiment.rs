@@ -9,7 +9,9 @@ use ratc_sim::{Blackout, CtrlEvent};
 use ratc_types::ShardId;
 
 use crate::driver::{run_soak, SoakConfig, SoakReport};
-use crate::harness::{build_harness, Stack};
+use ratc_harness::StackKind;
+
+use crate::harness::build_harness;
 use crate::nemesis::{Nemesis, NemesisConfig, Profile};
 use crate::plan::{FaultEvent, FaultPlan, TimedFault};
 
@@ -17,7 +19,7 @@ use crate::plan::{FaultEvent, FaultPlan, TimedFault};
 #[derive(Debug, Clone)]
 pub struct AvailabilityResult {
     /// The stack measured.
-    pub stack: Stack,
+    pub stack: StackKind,
     /// Fault intensity in `[0, 100]` (scales noise and event count).
     pub intensity: u8,
     /// Transactions submitted.
@@ -70,7 +72,7 @@ fn micros_or_na(micros: Option<u64>) -> String {
 }
 
 /// Runs one E9 cell: a fixed-seed soak of `stack` at `intensity`.
-pub fn availability_experiment(stack: Stack, intensity: u8, seed: u64) -> AvailabilityResult {
+pub fn availability_experiment(stack: StackKind, intensity: u8, seed: u64) -> AvailabilityResult {
     let soak = SoakConfig {
         seed,
         txs: 60,
@@ -175,7 +177,7 @@ impl fmt::Display for BlackoutScenario {
 #[derive(Debug, Clone)]
 pub struct BlackoutResult {
     /// The stack measured.
-    pub stack: Stack,
+    pub stack: StackKind,
     /// The degradation injected.
     pub scenario: BlackoutScenario,
     /// Transactions submitted.
@@ -264,7 +266,7 @@ fn blackout_plan(scenario: BlackoutScenario, at_micros: u64) -> FaultPlan {
 /// observability stream; the raw stream and windows are returned alongside
 /// the summary for exporters and span-bracketing checks.
 pub fn blackout_experiment(
-    stack: Stack,
+    stack: StackKind,
     scenario: BlackoutScenario,
     seed: u64,
 ) -> (BlackoutResult, Vec<CtrlEvent>, Vec<Blackout>) {

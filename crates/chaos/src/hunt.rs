@@ -17,7 +17,9 @@
 use ratc_types::ShardId;
 
 use crate::driver::{run_soak, SoakConfig, SoakReport};
-use crate::harness::{build_harness, Stack};
+use ratc_harness::StackKind;
+
+use crate::harness::build_harness;
 use crate::nemesis::{Nemesis, NemesisConfig, Profile};
 use crate::plan::FaultPlan;
 use crate::shrink::shrink_plan;
@@ -75,7 +77,7 @@ fn hunt_coordinator(plan: &FaultPlan) -> (ShardId, usize) {
 
 /// Runs one hunt soak of `plan` against the given reconfiguration stack and
 /// returns whether the client observed contradictory decisions.
-pub fn reproduces_violation(stack: Stack, seed: u64, plan: &FaultPlan) -> (bool, SoakReport) {
+pub fn reproduces_violation(stack: StackKind, seed: u64, plan: &FaultPlan) -> (bool, SoakReport) {
     let mut harness = build_harness(stack, 2, seed, Some(hunt_coordinator(plan)));
     let report = run_soak(&mut harness, &hunt_soak_config(seed), plan);
     let contradictory = report
@@ -90,12 +92,12 @@ pub fn reproduces_violation(stack: Stack, seed: u64, plan: &FaultPlan) -> (bool,
 pub fn find_naive_violation(max_seeds: u64) -> Option<HuntResult> {
     for seed in 0..max_seeds {
         let plan = Nemesis::generate(&hunt_nemesis_config(seed));
-        let (found, report) = reproduces_violation(Stack::RdmaNaive, seed, &plan);
+        let (found, report) = reproduces_violation(StackKind::RdmaNaive, seed, &plan);
         if !found {
             continue;
         }
         let shrunk = shrink_plan(&plan, |candidate| {
-            reproduces_violation(Stack::RdmaNaive, seed, candidate).0
+            reproduces_violation(StackKind::RdmaNaive, seed, candidate).0
         });
         return Some(HuntResult {
             seed,

@@ -46,7 +46,7 @@ pub use experiment::{
     availability_experiment, blackout_experiment, AvailabilityResult, BlackoutResult,
     BlackoutScenario,
 };
-pub use harness::{build_harness, ChaosHarness, Stack};
+pub use harness::{build_harness, ChaosHarness};
 pub use hunt::{find_naive_violation, reproduces_violation, HuntResult};
 pub use nemesis::{Nemesis, NemesisConfig, Profile};
 pub use plan::{FaultEvent, FaultPlan, LinkNoise, TimedFault};

@@ -2,10 +2,11 @@
 //! availability window a chaos soak derives nests inside its enclosing
 //! fault→heal span of the merged control-plane event log.
 
-use ratc_chaos::{blackout_experiment, BlackoutScenario, Stack};
+use ratc_chaos::{blackout_experiment, BlackoutScenario};
+use ratc_harness::StackKind;
 use ratc_sim::CtrlMilestone;
 
-const STACKS: [Stack; 3] = [Stack::Core, Stack::Rdma, Stack::Baseline];
+const STACKS: [StackKind; 3] = [StackKind::Core, StackKind::Rdma, StackKind::Baseline];
 
 /// Every E12 cell recovers (all submitted transactions decided, windows
 /// closed), and each closed window is bracketed by the merged control-plane
@@ -95,7 +96,7 @@ fn blackout_windows_nest_inside_their_fault_heal_span() {
 #[test]
 fn baseline_reconfiguration_cell_reports_no_time_to_recover() {
     let (result, _, blackouts) =
-        blackout_experiment(Stack::Baseline, BlackoutScenario::ShardReconfig, 42);
+        blackout_experiment(StackKind::Baseline, BlackoutScenario::ShardReconfig, 42);
     assert!(result.ok, "{result}");
     assert!(
         blackouts

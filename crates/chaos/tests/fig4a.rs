@@ -7,7 +7,8 @@
 //! schedule. The same schedule is verified harmless under the correct global
 //! reconfiguration — the paper's central claim, demonstrated adversarially.
 
-use ratc_chaos::{find_naive_violation, reproduces_violation, Stack};
+use ratc_chaos::{find_naive_violation, reproduces_violation};
+use ratc_harness::StackKind;
 
 const MAX_SEEDS: u64 = 300;
 
@@ -37,13 +38,13 @@ fn nemesis_rediscovers_and_shrinks_the_naive_reconfiguration_violation() {
     assert!(result.shrunk.noise.is_none(), "noise shrinks away");
 
     // The shrunk schedule still reproduces deterministically...
-    let (again, _) = reproduces_violation(Stack::RdmaNaive, result.seed, &result.shrunk);
+    let (again, _) = reproduces_violation(StackKind::RdmaNaive, result.seed, &result.shrunk);
     assert!(again, "shrunk schedule must still reproduce");
 
     // ...and is 1-minimal: removing any single event loses the violation.
     for i in 0..result.shrunk.len() {
         let weaker = result.shrunk.without_event(i);
-        let (still, _) = reproduces_violation(Stack::RdmaNaive, result.seed, &weaker);
+        let (still, _) = reproduces_violation(StackKind::RdmaNaive, result.seed, &weaker);
         assert!(
             !still,
             "event {} ({}) is removable — the shrinker should have dropped it",
@@ -55,7 +56,7 @@ fn nemesis_rediscovers_and_shrinks_the_naive_reconfiguration_violation() {
     // probe step closes RDMA connections, the stale write is rejected, and
     // the run ends safe and live.
     let (correct_repro, correct_report) =
-        reproduces_violation(Stack::Rdma, result.seed, &result.shrunk);
+        reproduces_violation(StackKind::Rdma, result.seed, &result.shrunk);
     assert!(
         !correct_repro,
         "global reconfiguration must exclude the violation"

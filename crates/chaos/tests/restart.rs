@@ -8,7 +8,8 @@
 //! [`ChaosHarness`](ratc_chaos::ChaosHarness); only the stack selector and
 //! the assertions differ.
 
-use ratc_chaos::{build_harness, run_soak, FaultEvent, FaultPlan, SoakConfig, Stack, TimedFault};
+use ratc_chaos::{build_harness, run_soak, FaultEvent, FaultPlan, SoakConfig, TimedFault};
+use ratc_harness::StackKind;
 use ratc_types::ShardId;
 
 fn restart_plan(events: &[(u64, FaultEvent)]) -> FaultPlan {
@@ -52,7 +53,7 @@ fn config() -> SoakConfig {
 
 #[test]
 fn core_replicas_recover_from_checkpoint_and_suffix_under_load() {
-    let mut harness = build_harness(Stack::Core, 2, 11, None);
+    let mut harness = build_harness(StackKind::Core, 2, 11, None);
     let report = run_soak(&mut harness, &config(), &leader_and_follower_restart_plan());
     assert!(
         report.ok(),
@@ -71,7 +72,7 @@ fn core_replicas_recover_from_checkpoint_and_suffix_under_load() {
 
 #[test]
 fn rdma_replicas_reconnect_and_recover_under_load() {
-    let mut harness = build_harness(Stack::Rdma, 2, 11, None);
+    let mut harness = build_harness(StackKind::Rdma, 2, 11, None);
     let report = run_soak(&mut harness, &config(), &leader_and_follower_restart_plan());
     assert!(
         report.ok(),
@@ -101,7 +102,7 @@ fn baseline_masks_a_follower_crash_and_recovers_leaders_by_restart() {
         (20_000, FaultEvent::CrashCoordinator), // the TM leader
         (26_000, FaultEvent::RestartCrashed),
     ]);
-    let mut harness = build_harness(Stack::Baseline, 2, 11, None);
+    let mut harness = build_harness(StackKind::Baseline, 2, 11, None);
     let report = run_soak(&mut harness, &config(), &plan);
     assert!(
         report.ok(),
@@ -122,7 +123,7 @@ fn core_leader_restart_resumes_without_reconfiguration() {
         (6_000, FaultEvent::CrashLeader { shard: s0 }),
         (12_000, FaultEvent::RestartCrashed),
     ]);
-    let mut harness = build_harness(Stack::Core, 2, 23, None);
+    let mut harness = build_harness(StackKind::Core, 2, 23, None);
     let report = run_soak(&mut harness, &config(), &plan);
     assert!(
         report.ok(),

@@ -9,13 +9,13 @@
 
 use ratc_chaos::{
     build_harness, run_soak, ChaosHarness, FaultEvent, FaultPlan, LinkNoise, Nemesis,
-    NemesisConfig, Profile, SoakConfig, SoakReport, Stack, TimedFault,
+    NemesisConfig, Profile, SoakConfig, SoakReport, TimedFault,
 };
 use ratc_core::batch::BatchingConfig;
 use ratc_core::replica::TruncationConfig;
-use ratc_harness::ClusterSpec;
+use ratc_harness::{ClusterSpec, StackKind};
 
-fn soak(stack: Stack, seed: u64, intensity: u8) -> SoakReport {
+fn soak(stack: StackKind, seed: u64, intensity: u8) -> SoakReport {
     let nemesis = NemesisConfig {
         seed,
         intensity,
@@ -40,7 +40,7 @@ fn soak(stack: Stack, seed: u64, intensity: u8) -> SoakReport {
 #[test]
 fn fixed_seed_soaks_are_safe_and_live_on_all_stacks() {
     let mut failures = Vec::new();
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         for seed in 0..10u64 {
             let report = soak(stack, seed, 40);
             assert_eq!(report.submitted, 40, "{stack} seed={seed} lost submissions");
@@ -65,7 +65,7 @@ fn fixed_seed_soaks_are_safe_and_live_on_all_stacks() {
 /// including the step count, which fingerprints the whole event order.
 #[test]
 fn same_seed_reproduces_the_identical_soak() {
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         let a = soak(stack, 3, 40);
         let b = soak(stack, 3, 40);
         assert_eq!(a, b, "{stack}: same seed must replay identically");
@@ -115,7 +115,7 @@ fn duplicate_and_reorder_storms_are_harmless() {
             },
         ),
     ];
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         for (name, noise) in storms {
             let plan = FaultPlan {
                 noise: Some(noise),
@@ -148,7 +148,7 @@ fn duplicate_and_reorder_storms_are_harmless() {
 /// certifies actually coalesce into batches.
 #[test]
 fn batched_soaks_are_safe_and_live_on_all_stacks() {
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         for seed in 0..3u64 {
             let nemesis = NemesisConfig {
                 seed,
@@ -162,7 +162,7 @@ fn batched_soaks_are_safe_and_live_on_all_stacks() {
                 .with_seed(seed)
                 .with_truncation(TruncationConfig::with_batch(8))
                 .with_batching(BatchingConfig::with_batch(8));
-            let coordinator = if stack == Stack::Baseline {
+            let coordinator = if stack == StackKind::Baseline {
                 None
             } else {
                 Some((ratc_types::ShardId::new(1), 1))
@@ -189,7 +189,7 @@ fn batched_soaks_are_safe_and_live_on_all_stacks() {
 /// A short smoke variant for CI: three seeds per stack at high intensity.
 #[test]
 fn high_intensity_smoke() {
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         for seed in 20..23u64 {
             let report = soak(stack, seed, 80);
             assert!(
@@ -234,7 +234,7 @@ fn overload_bursts_under_crashes_stay_safe_and_live() {
             },
         ],
     };
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         let mut harness = build_harness(stack, 2, 11, None);
         let report = run_soak(
             &mut harness,
@@ -262,7 +262,7 @@ fn overload_bursts_under_crashes_stay_safe_and_live() {
 /// with crashes, restarts and partitions) across seeds and stacks.
 #[test]
 fn overload_profile_soaks_are_safe_and_live() {
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         for seed in 0..3u64 {
             let nemesis = NemesisConfig {
                 seed,

@@ -7,8 +7,8 @@
 //! transactions, in the style of Chockler & Gotsman's multi-shot commit
 //! (certification decisions pipelined across contiguous slots):
 //!
-//! * [`BatchingConfig`] — the size/delay knobs, surfaced by all three
-//!   deployment harnesses (`ratc-core`, `ratc-rdma`, `ratc-baseline`);
+//! * [`BatchingConfig`] — the size/delay knobs, applied to every stack by
+//!   `ratc-harness`'s `ClusterSpec`;
 //! * [`VoteBatcher`] — the coalescing buffer. A replica acting as transaction
 //!   coordinator pushes each `certify` request into it instead of sending a
 //!   `PREPARE` immediately; when the batch fills (or the delay expires) the
@@ -36,7 +36,7 @@ pub use ratc_sim::SimDuration;
 use ratc_types::{Decision, Payload, Position, ProcessId, ShardId, TxId};
 use serde::{Deserialize, Serialize};
 
-/// Knobs of the batching pipeline (surfaced on all three harnesses).
+/// Knobs of the batching pipeline (surfaced on every stack by `ClusterSpec`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchingConfig {
     /// Whether the pipeline batches at all. Disabled, every transaction goes

@@ -8,7 +8,7 @@
 //! [`ShardConfigRegistry`] from `ratc-config` behind the protocol's message
 //! vocabulary.
 
-use ratc_config::{ShardConfigRegistry, ShardConfiguration};
+pub use ratc_config::{ShardConfigRegistry, ShardConfiguration};
 use ratc_sim::{Actor, Context};
 use ratc_types::{ProcessId, ShardId};
 

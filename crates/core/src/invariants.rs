@@ -16,15 +16,16 @@
 //! * **single leader per epoch** — at most one replica of a shard considers
 //!   itself leader of any given epoch.
 //!
-//! The experiment drivers call [`check_cluster`] between simulation steps and
-//! at the end of every run; any violation is reported with enough context to
-//! reproduce it (the checks are deterministic given the simulation seed).
+//! [`check_shard`] takes the replicas of one shard; the typed core cluster of
+//! `ratc-harness` (`SimCluster<CoreStack>::check_invariants`) applies it to
+//! every shard's live replicas. The experiment drivers call it at the end of
+//! every run; any violation is reported with enough context to reproduce it
+//! (the checks are deterministic given the simulation seed).
 
 use std::collections::BTreeMap;
 
 use ratc_types::{Epoch, Position, ProcessId, ShardId};
 
-use crate::harness::Cluster;
 use crate::replica::{Replica, Status};
 
 /// A violation of one of the checked invariants.
@@ -40,30 +41,6 @@ impl std::fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.invariant, self.details)
     }
-}
-
-/// Checks all supported invariants over every shard of the cluster, returning
-/// every violation found (empty = all invariants hold).
-pub fn check_cluster(cluster: &Cluster) -> Vec<InvariantViolation> {
-    let mut violations = Vec::new();
-    for shard in cluster.shards() {
-        // Collect the live replicas of this shard (initial members and spares:
-        // spares may have joined a later configuration).
-        let mut replicas: Vec<(ProcessId, &Replica)> = Vec::new();
-        for pid in cluster
-            .initial_members(shard)
-            .iter()
-            .chain(cluster.spares(shard).iter())
-        {
-            if cluster.world.is_crashed(*pid) {
-                continue;
-            }
-            let replica = cluster.replica(*pid);
-            replicas.push((*pid, replica));
-        }
-        violations.extend(check_shard(shard, &replicas));
-    }
-    violations
 }
 
 /// Checks the invariants over the replicas of one shard.
@@ -228,56 +205,6 @@ fn check_slot_agreement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{Cluster, ClusterConfig};
-    use ratc_types::{Key, Payload, TxId, Value, Version};
-
-    fn rw_payload(key: &str) -> Payload {
-        Payload::builder()
-            .read(Key::new(key), Version::new(0))
-            .write(Key::new(key), Value::from("v"))
-            .commit_version(Version::new(1))
-            .build()
-            .expect("well-formed")
-    }
-
-    #[test]
-    fn invariants_hold_on_a_failure_free_run() {
-        let mut cluster = Cluster::new(ClusterConfig::default().with_shards(3).with_seed(1));
-        for i in 0..30 {
-            cluster.submit(TxId::new(i), rw_payload(&format!("k{i}")));
-        }
-        cluster.run_to_quiescence();
-        let violations = check_cluster(&cluster);
-        assert!(violations.is_empty(), "violations: {violations:?}");
-    }
-
-    #[test]
-    fn invariants_hold_across_a_reconfiguration() {
-        let mut cluster = Cluster::new(ClusterConfig::default().with_seed(2));
-        for i in 0..10 {
-            cluster.submit(TxId::new(i), rw_payload(&format!("k{i}")));
-        }
-        cluster.run_to_quiescence();
-
-        let shard = ShardId::new(0);
-        let leader = cluster.current_leader(shard);
-        let follower = *cluster
-            .initial_members(shard)
-            .iter()
-            .find(|p| **p != leader)
-            .expect("follower");
-        cluster.crash(follower);
-        cluster.start_reconfiguration(shard, leader, vec![follower]);
-        cluster.run_to_quiescence();
-
-        for i in 10..20 {
-            cluster.submit(TxId::new(i), rw_payload(&format!("k{i}")));
-        }
-        cluster.run_to_quiescence();
-
-        let violations = check_cluster(&cluster);
-        assert!(violations.is_empty(), "violations: {violations:?}");
-    }
 
     #[test]
     fn violation_display_is_informative() {

@@ -35,50 +35,33 @@
 //!   coordination and reconfiguration;
 //! * [`config_service`] — the configuration-service actor (wrapping
 //!   `ratc-config`'s registry) that also pushes `CONFIG_CHANGE` notifications;
-//! * [`client`] — a client actor recording a TCS history and latency samples;
-//! * [`harness`] — [`Cluster`]: one-call construction of a full simulated
-//!   deployment (shards, replicas, spares, configuration service, client),
-//!   used by tests, examples and benchmarks;
 //! * [`invariants`] — white-box checkers for the paper's key invariants
 //!   (Figure 3), evaluated over live replica state.
 //!
-//! # Quick start
+//! # Deployment
 //!
-//! ```
-//! use ratc_core::harness::{Cluster, ClusterConfig};
-//! use ratc_types::prelude::*;
-//!
-//! // 2 shards, f = 1 (two replicas each), serializability.
-//! let mut cluster = Cluster::new(ClusterConfig::default());
-//! let payload = Payload::builder()
-//!     .read(Key::new("x"), Version::new(0))
-//!     .write(Key::new("x"), Value::from("1"))
-//!     .commit_version(Version::new(1))
-//!     .build()?;
-//! cluster.submit(TxId::new(1), payload);
-//! cluster.run_to_quiescence();
-//! assert_eq!(cluster.history().decision(TxId::new(1)), Some(Decision::Commit));
-//! # Ok::<(), PayloadError>(())
-//! ```
+//! This crate holds the protocol only. A full simulated deployment (shards,
+//! replicas, spares, the configuration service and a history-recording
+//! client) is built by `ratc-harness`, which runs every stack in one cluster
+//! shell: `ClusterSpec::new(StackKind::Core).build()` behind the
+//! stack-agnostic `TcsCluster` trait, or
+//! `ClusterSpec::build_typed::<CoreStack>()` for white-box access to the
+//! replicas and `check_invariants`.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod batch;
-pub mod client;
 pub mod config_service;
 pub mod flow;
-pub mod harness;
 pub mod invariants;
 pub mod log;
 pub mod messages;
 pub mod replica;
 
 pub use batch::{BatchingConfig, PrepareBatch, VoteBatcher};
-pub use client::ClientActor;
 pub use config_service::ConfigServiceActor;
 pub use flow::{AdmissionQueue, FlowControlConfig};
-pub use harness::{Cluster, ClusterConfig};
 pub use log::{CertificationLog, LogEntry, TxPhase};
 pub use messages::Msg;
 pub use replica::{Replica, Status};

@@ -1,30 +1,31 @@
-//! The [`TcsCluster`] trait and its implementations for the three stacks.
+//! The [`TcsCluster`] trait and [`SimCluster`], the one shell that
+//! implements it for every stack.
 //!
-//! Each implementation delegates to the stack's own deployment harness; the
-//! trait adds no protocol logic. Capability probes
+//! The shell owns what every deployment shares: the simulation [`World`],
+//! the history-recording [`ClientActor`], the sharding, the choice of engine
+//! ([`ExecutionMode`]) and the round-robin choice of coordinator. What really
+//! differs between the protocols comes from the [`Stack`] parameter:
+//! deployment, the messages that re-drive work, membership and protocol-state
+//! probes, and the capability flags
 //! ([`TcsCluster::supports_reconfiguration`],
 //! [`TcsCluster::reconfiguration_is_global`],
-//! [`TcsCluster::replicas_coordinate`]) let generic drivers (experiments,
-//! chaos, conformance suites) handle the real semantic differences between
-//! the protocols — everything else is the same one-liner on every stack.
+//! [`TcsCluster::replicas_coordinate`]) that let generic drivers handle the
+//! real semantic differences between the protocols.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-use ratc_baseline::{BaselineCluster, BaselineShardReplica};
-use ratc_core::client::DecisionLatency;
-use ratc_core::harness::Cluster;
-use ratc_core::log::TxPhase;
-use ratc_core::replica::{Replica, Status};
-use ratc_rdma::replica::RdmaStatus;
-use ratc_rdma::{RdmaCluster, RdmaReplica, ReconfigMode};
 use ratc_sim::faults::LinkFault;
-use ratc_sim::metrics::MsgTypeCounters;
 use ratc_sim::{
-    fold_timelines, Blackout, CtrlEvent, CtrlMilestone, ExecutionMode, LatencyUnit, PhaseBreakdown,
-    SimDuration, SimTime, TxObsEvent, TxTimeline,
+    fold_timelines, Blackout, CtrlMilestone, ExecutionMode, LatencyUnit, Metrics, MetricsView,
+    PhaseBreakdown, SimDuration, SimTime, TxMilestone, TxTimeline, World,
 };
-use ratc_types::{Epoch, HashSharding, Payload, ProcessId, ShardId, ShardMap, TcsHistory, TxId};
+use ratc_types::{Epoch, HashSharding, Payload, ProcessId, ShardId, TcsHistory, TxId};
+
+use crate::client::{ClientActor, ClientMsg, DecisionLatency};
+use crate::spec::ClusterSpec;
+use crate::stack::{Deployment, Stack};
 
 /// Which TCS implementation a cluster (or an experiment, or a chaos run)
 /// uses.
@@ -66,11 +67,11 @@ impl fmt::Display for StackKind {
 /// The trait captures the full operator surface the workspace's consumers
 /// need: experiments drive `submit`/`run_*`/`latencies`, the chaos nemesis
 /// adds `crash`/`restart`/link faults/`start_reconfiguration`, and the spec
-/// suites observe `history` and the introspection queries. Implementations
-/// exist for [`Cluster`] (§3 message passing), [`RdmaCluster`] (§5 RDMA) and
-/// [`BaselineCluster`] (2PC over Paxos); construct them uniformly with
-/// [`ClusterSpec`](crate::ClusterSpec).
-pub trait TcsCluster {
+/// suites observe `history` and the introspection queries. [`SimCluster`]
+/// implements it for every [`Stack`]; construct one with
+/// [`ClusterSpec::build`] (behind this trait) or [`ClusterSpec::build_typed`]
+/// (a typed shell for white-box access).
+pub trait TcsCluster: MetricsView {
     /// The stack this cluster implements.
     fn stack(&self) -> StackKind;
 
@@ -144,31 +145,14 @@ pub trait TcsCluster {
     /// certifies, contradictory decisions). Empty in a correct run.
     fn client_violations(&self) -> Vec<String>;
 
-    /// A named metrics counter of the underlying simulation world.
-    fn counter(&self, name: &str) -> u64;
-
-    /// Mean of a named metrics sample series, if any samples were recorded.
-    fn sample_mean(&self, name: &str) -> Option<f64>;
-
-    /// Estimated percentile (`pct` in `0..=100`) of a named metrics sample
-    /// series, from the streaming log-bucketed histogram every
-    /// [`Summary`](ratc_sim::metrics::Summary) maintains (relative error
-    /// ≤ ~9%). `None` if no samples were recorded.
-    fn sample_percentile(&self, name: &str, pct: f64) -> Option<f64>;
-
     /// The unit of every latency and timestamp this cluster reports:
     /// [`LatencyUnit::VirtualMicros`] under
     /// [`ExecutionMode::Sim`], [`LatencyUnit::WallMicros`] under
     /// [`ExecutionMode::Threads`].
     fn latency_unit(&self) -> LatencyUnit;
 
-    /// Raw transaction-lifecycle observability events, in recording order.
-    /// Empty unless the cluster was built with observability enabled (see
-    /// [`ClusterSpec::with_observability`](crate::ClusterSpec::with_observability)).
-    fn obs_events(&self) -> Vec<TxObsEvent>;
-
     /// Per-transaction lifecycle timelines, folded from
-    /// [`TcsCluster::obs_events`] and keyed by transaction.
+    /// [`MetricsView::obs_events`] and keyed by transaction.
     fn timelines(&self) -> BTreeMap<TxId, TxTimeline> {
         fold_timelines(&self.obs_events())
     }
@@ -185,13 +169,6 @@ pub trait TcsCluster {
             })
             .collect()
     }
-
-    /// Raw control-plane observability events — reconfiguration milestones,
-    /// crash/restart/recovery spans, leader and coordinator handoffs, and any
-    /// harness-injected fault markers — in recording order. Empty unless the
-    /// cluster was built with observability enabled (see
-    /// [`ClusterSpec::with_observability`](crate::ClusterSpec::with_observability)).
-    fn ctrl_events(&self) -> Vec<CtrlEvent>;
 
     /// Stamps a control-plane event into the cluster's event stream on behalf
     /// of an external harness. The chaos nemesis records
@@ -234,13 +211,6 @@ pub trait TcsCluster {
         let decided = ratc_sim::decided_times_per_shard(&self.obs_events());
         ratc_sim::blackouts(&ctrl, &decided)
     }
-
-    /// Per-message-type send/deliver counters (label → counts), sorted by
-    /// message-type label. Empty unless observability is enabled.
-    fn msg_type_counters(&self) -> Vec<(String, MsgTypeCounters)>;
-
-    /// Messages handled (sent + received) by one process.
-    fn process_handled(&self, pid: ProcessId) -> u64;
 
     // --- topology introspection --------------------------------------------
 
@@ -344,37 +314,153 @@ pub trait TcsCluster {
     fn mark_fault_exempt(&mut self, pid: ProcessId);
 }
 
-// ---------------------------------------------------------------------------
-// ratc-core (§3 message passing)
-// ---------------------------------------------------------------------------
+/// One deployed cluster of stack `S`: the simulation world, the client and
+/// the per-stack deployment, driven through [`TcsCluster`].
+///
+/// Build one with [`ClusterSpec::build_typed`]. The typed shell gives
+/// white-box code (invariant checkers, log-differential suites, scripted
+/// schedules) direct access to the world and, through per-stack inherent
+/// methods, to the replicas.
+pub struct SimCluster<S: Stack> {
+    /// The simulation world; public so white-box code can crash processes,
+    /// inject messages, downcast actors, read metrics and traces, or step
+    /// the simulation manually.
+    pub world: World<S::Msg>,
+    pub(crate) stack: S,
+    sharding: Arc<HashSharding>,
+    client: ProcessId,
+    roster: BTreeMap<ShardId, Vec<ProcessId>>,
+    spares: BTreeMap<ShardId, Vec<ProcessId>>,
+    next_coordinator: usize,
+    execution: ExecutionMode,
+}
 
-impl TcsCluster for Cluster {
-    fn stack(&self) -> StackKind {
-        StackKind::Core
+impl<S: Stack> fmt::Debug for SimCluster<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SimCluster")
+            .field("stack", &self.stack.kind())
+            .field("shards", &self.roster.len())
+            .field("client", &self.client)
+            .finish()
+    }
+}
+
+impl<S: Stack> SimCluster<S> {
+    pub(crate) fn new(spec: &ClusterSpec) -> Self {
+        let sharding = Arc::new(HashSharding::new(spec.shards));
+        let mut world = World::new(spec.sim.clone());
+        let Deployment {
+            stack,
+            client,
+            roster,
+            spares,
+        } = S::deploy(spec, &sharding, &mut world);
+        SimCluster {
+            world,
+            stack,
+            sharding,
+            client,
+            roster,
+            spares,
+            next_coordinator: 0,
+            execution: spec.execution,
+        }
     }
 
+    /// The initial members of `shard` (its roster at construction time).
+    pub fn roster(&self, shard: ShardId) -> &[ProcessId] {
+        self.roster.get(&shard).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// The spare replicas of `shard`.
+    pub fn spares(&self, shard: ShardId) -> &[ProcessId] {
+        self.spares.get(&shard).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// The spare pools of every shard.
+    pub(crate) fn spare_pools(&self) -> &BTreeMap<ShardId, Vec<ProcessId>> {
+        &self.spares
+    }
+
+    /// The history-recording client actor.
+    pub fn client(&self) -> &ClientActor<S::Msg> {
+        self.world
+            .actor::<ClientActor<S::Msg>>(self.client)
+            .expect("client")
+    }
+
+    /// The processes `submit` chooses from: every initial replica where
+    /// replicas coordinate, else the coordinator group's leader.
+    fn submit_pool(&self) -> Vec<ProcessId> {
+        match self.stack.coordinator_group().first() {
+            Some(leader) => vec![*leader],
+            None => self.roster.values().flatten().copied().collect(),
+        }
+    }
+}
+
+impl<S: Stack> MetricsView for SimCluster<S> {
+    fn metrics(&self) -> &Metrics {
+        self.world.metrics()
+    }
+}
+
+impl<S: Stack> TcsCluster for SimCluster<S> {
+    fn stack(&self) -> StackKind {
+        self.stack.kind()
+    }
+
+    /// Round-robin over the live members of the submission pool. With every
+    /// member crashed the request still goes to the next member: the
+    /// message drops, and the transaction stays in the history undecided
+    /// until a restart and [`TcsCluster::resubmit`] re-drive it.
     fn submit(&mut self, tx: TxId, payload: Payload) -> ProcessId {
-        Cluster::submit(self, tx, payload)
+        let pool = self.submit_pool();
+        let live: Vec<ProcessId> = pool
+            .iter()
+            .copied()
+            .filter(|p| !self.world.is_crashed(*p))
+            .collect();
+        let candidates = if live.is_empty() { &pool } else { &live };
+        let coordinator = candidates[self.next_coordinator % candidates.len()];
+        self.next_coordinator += 1;
+        self.submit_via(tx, payload, coordinator);
+        coordinator
     }
 
     fn submit_via(&mut self, tx: TxId, payload: Payload, coordinator: ProcessId) {
-        Cluster::submit_via(self, tx, payload, coordinator);
+        let now = self.world.now();
+        let client = self.client;
+        self.world
+            .actor_mut::<ClientActor<S::Msg>>(client)
+            .expect("client")
+            .record_certify(tx, payload.clone(), now);
+        self.world.obs_milestone(tx, TxMilestone::Submitted, client);
+        self.world
+            .send_external(coordinator, S::Msg::certify(tx, payload, client));
     }
 
     fn resubmit(&mut self, tx: TxId, payload: Payload) {
-        Cluster::resubmit(self, tx, payload);
+        let first = payload.shards(self.sharding.as_ref()).first().copied();
+        if let Some(target) = S::resubmit_target(self, first) {
+            let client = self.client;
+            self.world
+                .send_external(target, S::Msg::certify(tx, payload, client));
+        }
     }
 
     fn retry(&mut self, replica: ProcessId, tx: TxId) {
-        Cluster::retry(self, replica, tx);
+        if let Some(msg) = S::retry(tx) {
+            self.world.send_external(replica, msg);
+        }
     }
 
     fn crash(&mut self, pid: ProcessId) {
-        Cluster::crash(self, pid);
+        self.world.crash(pid);
     }
 
     fn restart(&mut self, pid: ProcessId) -> bool {
-        Cluster::restart(self, pid)
+        self.world.restart(pid)
     }
 
     fn start_reconfiguration(
@@ -383,19 +469,28 @@ impl TcsCluster for Cluster {
         initiator: ProcessId,
         exclude: Vec<ProcessId>,
     ) {
-        Cluster::start_reconfiguration(self, shard, initiator, exclude);
+        if let Some(msg) = S::reconfigure(self, shard, exclude) {
+            self.world.send_external(initiator, msg);
+        }
     }
 
     fn run_to_quiescence(&mut self) {
-        Cluster::run_to_quiescence(self);
+        match self.execution {
+            ExecutionMode::Sim => self.world.run(),
+            ExecutionMode::Threads => self.world.run_threaded(),
+        };
     }
 
     fn run_for(&mut self, duration: SimDuration) {
-        Cluster::run_for(self, duration);
+        let until = self.world.now() + duration;
+        self.run_until(until);
     }
 
     fn run_until(&mut self, until: SimTime) {
-        Cluster::run_until(self, until);
+        match self.execution {
+            ExecutionMode::Sim => self.world.run_until(until),
+            ExecutionMode::Threads => self.world.run_threaded_until(until),
+        };
     }
 
     fn now(&self) -> SimTime {
@@ -407,45 +502,22 @@ impl TcsCluster for Cluster {
     }
 
     fn history(&self) -> TcsHistory {
-        Cluster::history(self)
+        self.client().history().clone()
     }
 
     fn latencies(&self) -> BTreeMap<TxId, DecisionLatency> {
-        Cluster::latencies(self)
+        self.client().latencies().clone()
     }
 
     fn client_violations(&self) -> Vec<String> {
-        Cluster::client_violations(self)
-    }
-
-    fn counter(&self, name: &str) -> u64 {
-        self.world.metrics().counter(name)
-    }
-
-    fn sample_mean(&self, name: &str) -> Option<f64> {
-        self.world.metrics().summary(name).map(|s| s.mean())
-    }
-
-    fn sample_percentile(&self, name: &str, pct: f64) -> Option<f64> {
-        self.world
-            .metrics()
-            .summary(name)
-            .map(|s| s.percentile(pct))
+        self.client().violations().to_vec()
     }
 
     fn latency_unit(&self) -> LatencyUnit {
-        match Cluster::execution(self) {
+        match self.execution {
             ExecutionMode::Sim => LatencyUnit::VirtualMicros,
             ExecutionMode::Threads => LatencyUnit::WallMicros,
         }
-    }
-
-    fn obs_events(&self) -> Vec<TxObsEvent> {
-        self.world.metrics().obs_events().to_vec()
-    }
-
-    fn ctrl_events(&self) -> Vec<CtrlEvent> {
-        self.world.metrics().ctrl_events().to_vec()
     }
 
     fn record_ctrl(
@@ -458,72 +530,59 @@ impl TcsCluster for Cluster {
         self.world.ctrl_milestone(by, milestone, shard, note);
     }
 
-    fn msg_type_counters(&self) -> Vec<(String, MsgTypeCounters)> {
-        self.world
-            .metrics()
-            .msg_type_counters()
-            .map(|(label, counters)| (label.to_owned(), counters))
-            .collect()
-    }
-
-    fn process_handled(&self, pid: ProcessId) -> u64 {
-        self.world.metrics().process(pid).handled()
-    }
-
     fn shards(&self) -> Vec<ShardId> {
-        Cluster::shards(self)
+        self.roster.keys().copied().collect()
     }
 
     fn sharding(&self) -> &HashSharding {
-        Cluster::sharding(self)
+        &self.sharding
     }
 
     fn client_id(&self) -> ProcessId {
-        Cluster::client_id(self)
+        self.client
     }
 
     fn config_service_id(&self) -> Option<ProcessId> {
-        Some(Cluster::config_service_id(self))
+        self.stack.config_service()
     }
 
     fn members_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.current_members(shard)
+        S::members_of(self, shard)
     }
 
     fn leader_of(&self, shard: ShardId) -> Option<ProcessId> {
-        if self.current_members(shard).is_empty() {
-            None
-        } else {
-            Some(self.current_leader(shard))
-        }
+        S::leader_of(self, shard)
     }
 
     fn epoch_of(&self, shard: ShardId) -> Epoch {
-        if self.current_members(shard).is_empty() {
-            Epoch::ZERO
-        } else {
-            self.current_epoch(shard)
-        }
+        S::epoch_of(self, shard)
     }
 
     fn roster_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.initial_members(shard).to_vec()
+        self.roster(shard).to_vec()
     }
 
     fn spares_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        Cluster::spares(self, shard).to_vec()
+        self.spares(shard).to_vec()
     }
 
+    /// Every replica and spare where replicas coordinate; else the
+    /// coordinator group, leader first (callers wanting the cheapest
+    /// coordinator can take the pool head).
     fn coordinator_pool(&self) -> Vec<ProcessId> {
-        TcsCluster::all_processes(self)
+        match self.stack.coordinator_group() {
+            [] => self.all_processes(),
+            group => group.to_vec(),
+        }
     }
 
     fn all_processes(&self) -> Vec<ProcessId> {
         let mut all = Vec::new();
-        for shard in Cluster::shards(self) {
-            all.extend(self.initial_members(shard));
-            all.extend(Cluster::spares(self, shard));
+        for (shard, members) in &self.roster {
+            all.extend(members);
+            all.extend(self.spares(*shard));
         }
+        all.extend(self.stack.coordinator_group());
         all
     }
 
@@ -532,595 +591,35 @@ impl TcsCluster for Cluster {
     }
 
     fn supports_reconfiguration(&self) -> bool {
-        true
+        S::SUPPORTS_RECONFIGURATION
     }
 
     fn reconfiguration_is_global(&self) -> bool {
-        false
+        S::RECONFIGURATION_IS_GLOBAL
     }
 
     fn replicas_coordinate(&self) -> bool {
-        true
+        self.stack.coordinator_group().is_empty()
     }
 
     fn replica_ready(&self, pid: ProcessId) -> bool {
-        self.world
-            .actor::<Replica>(pid)
-            .map(|r| r.is_initialized() && !r.reconfiguration_in_flight())
-            .unwrap_or(false)
+        S::replica_ready(self, pid)
     }
 
     fn shard_operational(&self, shard: ShardId) -> bool {
-        let members = self.current_members(shard);
-        if members.is_empty() {
-            return false;
-        }
-        let leader = self.current_leader(shard);
-        let epoch = self.current_epoch(shard);
-        members.iter().all(|m| {
-            if self.world.is_crashed(*m) {
-                return false;
-            }
-            let Some(replica) = self.world.actor::<Replica>(*m) else {
-                return false;
-            };
-            let expected = if *m == leader {
-                Status::Leader
-            } else {
-                Status::Follower
-            };
-            replica.is_initialized()
-                && replica.epoch_of(shard) == epoch
-                && replica.status() == expected
-        })
+        S::shard_operational(self, shard)
     }
 
     fn prepared_transactions(&self, shard: ShardId) -> Vec<TxId> {
-        let Some(leader) = TcsCluster::leader_of(self, shard) else {
-            return Vec::new();
-        };
-        self.replica(leader)
-            .log()
-            .entries()
-            .filter(|(_, e)| e.phase == TxPhase::Prepared)
-            .map(|(_, e)| e.tx)
-            .collect()
+        S::prepared_transactions(self, shard)
     }
 
     fn retained_log_slots(&self, pid: ProcessId) -> Option<usize> {
-        self.world.actor::<Replica>(pid).map(|r| r.log().len())
+        S::retained_log_slots(self, pid)
     }
 
     fn logical_log_len(&self, pid: ProcessId) -> Option<u64> {
-        self.world
-            .actor::<Replica>(pid)
-            .map(|r| r.log().next().as_u64())
-    }
-
-    fn set_link_fault(&mut self, from: ProcessId, to: ProcessId, fault: LinkFault) {
-        self.world.set_link_fault(from, to, fault);
-    }
-
-    fn set_default_link_fault(&mut self, fault: Option<LinkFault>) {
-        self.world.set_default_link_fault(fault);
-    }
-
-    fn install_partition(&mut self, name: &str, groups: Vec<Vec<ProcessId>>) {
-        self.world.install_partition(name, groups);
-    }
-
-    fn heal_all_faults(&mut self) {
-        self.world.heal_all_faults();
-    }
-
-    fn mark_fault_exempt(&mut self, pid: ProcessId) {
-        self.world.mark_fault_exempt(pid);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ratc-rdma (§5 RDMA, correct global or naive per-shard reconfiguration)
-// ---------------------------------------------------------------------------
-
-impl TcsCluster for RdmaCluster {
-    fn stack(&self) -> StackKind {
-        match self.mode() {
-            ReconfigMode::GlobalCorrect => StackKind::Rdma,
-            ReconfigMode::NaivePerShard => StackKind::RdmaNaive,
-        }
-    }
-
-    fn submit(&mut self, tx: TxId, payload: Payload) -> ProcessId {
-        RdmaCluster::submit(self, tx, payload)
-    }
-
-    fn submit_via(&mut self, tx: TxId, payload: Payload, coordinator: ProcessId) {
-        RdmaCluster::submit_via(self, tx, payload, coordinator);
-    }
-
-    fn resubmit(&mut self, tx: TxId, payload: Payload) {
-        RdmaCluster::resubmit(self, tx, payload);
-    }
-
-    fn retry(&mut self, replica: ProcessId, tx: TxId) {
-        RdmaCluster::retry(self, replica, tx);
-    }
-
-    fn crash(&mut self, pid: ProcessId) {
-        RdmaCluster::crash(self, pid);
-    }
-
-    fn restart(&mut self, pid: ProcessId) -> bool {
-        RdmaCluster::restart(self, pid)
-    }
-
-    fn start_reconfiguration(
-        &mut self,
-        shard: ShardId,
-        initiator: ProcessId,
-        exclude: Vec<ProcessId>,
-    ) {
-        RdmaCluster::start_reconfiguration(self, shard, initiator, exclude);
-    }
-
-    fn run_to_quiescence(&mut self) {
-        RdmaCluster::run_to_quiescence(self);
-    }
-
-    fn run_for(&mut self, duration: SimDuration) {
-        RdmaCluster::run_for(self, duration);
-    }
-
-    fn run_until(&mut self, until: SimTime) {
-        RdmaCluster::run_until(self, until);
-    }
-
-    fn now(&self) -> SimTime {
-        self.world.now()
-    }
-
-    fn steps(&self) -> u64 {
-        self.world.steps()
-    }
-
-    fn history(&self) -> TcsHistory {
-        RdmaCluster::history(self)
-    }
-
-    fn latencies(&self) -> BTreeMap<TxId, DecisionLatency> {
-        RdmaCluster::latencies(self)
-    }
-
-    fn client_violations(&self) -> Vec<String> {
-        RdmaCluster::client_violations(self)
-    }
-
-    fn counter(&self, name: &str) -> u64 {
-        self.world.metrics().counter(name)
-    }
-
-    fn sample_mean(&self, name: &str) -> Option<f64> {
-        self.world.metrics().summary(name).map(|s| s.mean())
-    }
-
-    fn sample_percentile(&self, name: &str, pct: f64) -> Option<f64> {
-        self.world
-            .metrics()
-            .summary(name)
-            .map(|s| s.percentile(pct))
-    }
-
-    fn latency_unit(&self) -> LatencyUnit {
-        match RdmaCluster::execution(self) {
-            ExecutionMode::Sim => LatencyUnit::VirtualMicros,
-            ExecutionMode::Threads => LatencyUnit::WallMicros,
-        }
-    }
-
-    fn obs_events(&self) -> Vec<TxObsEvent> {
-        self.world.metrics().obs_events().to_vec()
-    }
-
-    fn ctrl_events(&self) -> Vec<CtrlEvent> {
-        self.world.metrics().ctrl_events().to_vec()
-    }
-
-    fn record_ctrl(
-        &mut self,
-        by: ProcessId,
-        milestone: CtrlMilestone,
-        shard: Option<ShardId>,
-        note: &str,
-    ) {
-        self.world.ctrl_milestone(by, milestone, shard, note);
-    }
-
-    fn msg_type_counters(&self) -> Vec<(String, MsgTypeCounters)> {
-        self.world
-            .metrics()
-            .msg_type_counters()
-            .map(|(label, counters)| (label.to_owned(), counters))
-            .collect()
-    }
-
-    fn process_handled(&self, pid: ProcessId) -> u64 {
-        self.world.metrics().process(pid).handled()
-    }
-
-    fn shards(&self) -> Vec<ShardId> {
-        self.current_config().members.keys().copied().collect()
-    }
-
-    fn sharding(&self) -> &HashSharding {
-        RdmaCluster::sharding(self)
-    }
-
-    fn client_id(&self) -> ProcessId {
-        RdmaCluster::client_id(self)
-    }
-
-    fn config_service_id(&self) -> Option<ProcessId> {
-        Some(RdmaCluster::config_service_id(self))
-    }
-
-    fn members_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.current_config().members_of(shard).to_vec()
-    }
-
-    fn leader_of(&self, shard: ShardId) -> Option<ProcessId> {
-        self.current_config().leader_of(shard)
-    }
-
-    fn epoch_of(&self, _shard: ShardId) -> Epoch {
-        // The §5 protocol maintains one global epoch for the whole system.
-        self.current_config().epoch
-    }
-
-    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.initial_members(shard).to_vec()
-    }
-
-    fn spares_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        RdmaCluster::spares(self, shard).to_vec()
-    }
-
-    fn coordinator_pool(&self) -> Vec<ProcessId> {
-        TcsCluster::all_processes(self)
-    }
-
-    fn all_processes(&self) -> Vec<ProcessId> {
-        let mut all = Vec::new();
-        for shard in TcsCluster::shards(self) {
-            all.extend(self.initial_members(shard));
-            all.extend(RdmaCluster::spares(self, shard));
-        }
-        all
-    }
-
-    fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.world.is_crashed(pid)
-    }
-
-    fn supports_reconfiguration(&self) -> bool {
-        true
-    }
-
-    fn reconfiguration_is_global(&self) -> bool {
-        // Both modes share the §5 entry point: one `StartReconfigure`
-        // carries the spare pools of every shard and excludes crashed
-        // members system-wide. What differs is the *activation*: the naive
-        // mode then (incorrectly) installs configurations per shard — the
-        // Figure 4a bug under study — while the correct mode probes the
-        // whole system.
-        true
-    }
-
-    fn replicas_coordinate(&self) -> bool {
-        true
-    }
-
-    fn replica_ready(&self, pid: ProcessId) -> bool {
-        self.world
-            .actor::<RdmaReplica>(pid)
-            .map(|r| r.is_initialized() && !r.reconfiguration_in_flight())
-            .unwrap_or(false)
-    }
-
-    fn shard_operational(&self, shard: ShardId) -> bool {
-        let config = self.current_config();
-        let members = config.members_of(shard);
-        if members.is_empty() {
-            return false;
-        }
-        let leader = config.leader_of(shard);
-        members.iter().all(|m| {
-            if self.world.is_crashed(*m) {
-                return false;
-            }
-            let Some(replica) = self.world.actor::<RdmaReplica>(*m) else {
-                return false;
-            };
-            let expected = if Some(*m) == leader {
-                RdmaStatus::Leader
-            } else {
-                RdmaStatus::Follower
-            };
-            replica.is_initialized()
-                && replica.epoch() == config.epoch
-                && replica.status() == expected
-        })
-    }
-
-    fn prepared_transactions(&self, shard: ShardId) -> Vec<TxId> {
-        let Some(leader) = TcsCluster::leader_of(self, shard) else {
-            return Vec::new();
-        };
-        self.replica(leader)
-            .log()
-            .entries()
-            .filter(|(_, e)| e.phase == TxPhase::Prepared)
-            .map(|(_, e)| e.tx)
-            .collect()
-    }
-
-    fn retained_log_slots(&self, pid: ProcessId) -> Option<usize> {
-        self.world.actor::<RdmaReplica>(pid).map(|r| r.log().len())
-    }
-
-    fn logical_log_len(&self, pid: ProcessId) -> Option<u64> {
-        self.world
-            .actor::<RdmaReplica>(pid)
-            .map(|r| r.log().next().as_u64())
-    }
-
-    fn set_link_fault(&mut self, from: ProcessId, to: ProcessId, fault: LinkFault) {
-        self.world.set_link_fault(from, to, fault);
-    }
-
-    fn set_default_link_fault(&mut self, fault: Option<LinkFault>) {
-        self.world.set_default_link_fault(fault);
-    }
-
-    fn install_partition(&mut self, name: &str, groups: Vec<Vec<ProcessId>>) {
-        self.world.install_partition(name, groups);
-    }
-
-    fn heal_all_faults(&mut self) {
-        self.world.heal_all_faults();
-    }
-
-    fn mark_fault_exempt(&mut self, pid: ProcessId) {
-        self.world.mark_fault_exempt(pid);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ratc-baseline (2PC over Multi-Paxos)
-// ---------------------------------------------------------------------------
-
-impl TcsCluster for BaselineCluster {
-    fn stack(&self) -> StackKind {
-        StackKind::Baseline
-    }
-
-    fn submit(&mut self, tx: TxId, payload: Payload) -> ProcessId {
-        BaselineCluster::submit(self, tx, payload)
-    }
-
-    fn submit_via(&mut self, tx: TxId, payload: Payload, coordinator: ProcessId) {
-        BaselineCluster::submit_via(self, tx, payload, coordinator);
-    }
-
-    fn resubmit(&mut self, tx: TxId, payload: Payload) {
-        BaselineCluster::resubmit(self, tx, payload);
-    }
-
-    fn retry(&mut self, _replica: ProcessId, _tx: TxId) {
-        // The baseline's transaction manager re-drives in-flight 2PC through
-        // its own retry timer; there is no per-replica recovery coordinator.
-    }
-
-    fn crash(&mut self, pid: ProcessId) {
-        BaselineCluster::crash(self, pid);
-    }
-
-    fn restart(&mut self, pid: ProcessId) -> bool {
-        BaselineCluster::restart(self, pid)
-    }
-
-    fn start_reconfiguration(
-        &mut self,
-        _shard: ShardId,
-        _initiator: ProcessId,
-        _exclude: Vec<ProcessId>,
-    ) {
-        // No reconfiguration machinery: `2f + 1` Paxos quorums mask
-        // failures, and crashed processes recover only by restarting.
-    }
-
-    fn run_to_quiescence(&mut self) {
-        BaselineCluster::run_to_quiescence(self);
-    }
-
-    fn run_for(&mut self, duration: SimDuration) {
-        BaselineCluster::run_for(self, duration);
-    }
-
-    fn run_until(&mut self, until: SimTime) {
-        BaselineCluster::run_until(self, until);
-    }
-
-    fn now(&self) -> SimTime {
-        self.world.now()
-    }
-
-    fn steps(&self) -> u64 {
-        self.world.steps()
-    }
-
-    fn history(&self) -> TcsHistory {
-        BaselineCluster::history(self)
-    }
-
-    fn latencies(&self) -> BTreeMap<TxId, DecisionLatency> {
-        BaselineCluster::latencies(self)
-    }
-
-    fn client_violations(&self) -> Vec<String> {
-        BaselineCluster::client_violations(self)
-    }
-
-    fn counter(&self, name: &str) -> u64 {
-        self.world.metrics().counter(name)
-    }
-
-    fn sample_mean(&self, name: &str) -> Option<f64> {
-        self.world.metrics().summary(name).map(|s| s.mean())
-    }
-
-    fn sample_percentile(&self, name: &str, pct: f64) -> Option<f64> {
-        self.world
-            .metrics()
-            .summary(name)
-            .map(|s| s.percentile(pct))
-    }
-
-    fn latency_unit(&self) -> LatencyUnit {
-        match BaselineCluster::execution(self) {
-            ExecutionMode::Sim => LatencyUnit::VirtualMicros,
-            ExecutionMode::Threads => LatencyUnit::WallMicros,
-        }
-    }
-
-    fn obs_events(&self) -> Vec<TxObsEvent> {
-        self.world.metrics().obs_events().to_vec()
-    }
-
-    fn ctrl_events(&self) -> Vec<CtrlEvent> {
-        self.world.metrics().ctrl_events().to_vec()
-    }
-
-    fn record_ctrl(
-        &mut self,
-        by: ProcessId,
-        milestone: CtrlMilestone,
-        shard: Option<ShardId>,
-        note: &str,
-    ) {
-        self.world.ctrl_milestone(by, milestone, shard, note);
-    }
-
-    fn msg_type_counters(&self) -> Vec<(String, MsgTypeCounters)> {
-        self.world
-            .metrics()
-            .msg_type_counters()
-            .map(|(label, counters)| (label.to_owned(), counters))
-            .collect()
-    }
-
-    fn process_handled(&self, pid: ProcessId) -> u64 {
-        self.world.metrics().process(pid).handled()
-    }
-
-    fn shards(&self) -> Vec<ShardId> {
-        ShardMap::shards(BaselineCluster::sharding(self))
-    }
-
-    fn sharding(&self) -> &HashSharding {
-        BaselineCluster::sharding(self)
-    }
-
-    fn client_id(&self) -> ProcessId {
-        BaselineCluster::client_id(self)
-    }
-
-    fn config_service_id(&self) -> Option<ProcessId> {
-        None
-    }
-
-    fn members_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.shard_group(shard).to_vec()
-    }
-
-    fn leader_of(&self, shard: ShardId) -> Option<ProcessId> {
-        if self.shard_group(shard).is_empty() {
-            None
-        } else {
-            Some(self.shard_leader(shard))
-        }
-    }
-
-    fn epoch_of(&self, _shard: ShardId) -> Epoch {
-        // Static membership: configurations never change.
-        Epoch::ZERO
-    }
-
-    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.shard_group(shard).to_vec()
-    }
-
-    fn spares_of(&self, _shard: ShardId) -> Vec<ProcessId> {
-        Vec::new()
-    }
-
-    fn coordinator_pool(&self) -> Vec<ProcessId> {
-        // The whole group coordinates: the leader directly, every other
-        // member by forwarding `CERTIFY` to it. The leader comes first so
-        // callers wanting the cheapest coordinator can take the pool head.
-        let mut pool = vec![self.tm_leader()];
-        pool.extend(self.tm_group().iter().filter(|p| **p != self.tm_leader()));
-        pool
-    }
-
-    fn all_processes(&self) -> Vec<ProcessId> {
-        let mut all = Vec::new();
-        for shard in TcsCluster::shards(self) {
-            all.extend(self.shard_group(shard));
-        }
-        all.extend(self.tm_group());
-        all
-    }
-
-    fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.world.is_crashed(pid)
-    }
-
-    fn supports_reconfiguration(&self) -> bool {
-        false
-    }
-
-    fn reconfiguration_is_global(&self) -> bool {
-        false
-    }
-
-    fn replicas_coordinate(&self) -> bool {
-        false
-    }
-
-    fn replica_ready(&self, pid: ProcessId) -> bool {
-        !self.world.is_crashed(pid)
-    }
-
-    fn shard_operational(&self, _shard: ShardId) -> bool {
-        // Minority failures are masked by the Paxos quorum; anything worse
-        // is repaired by restarting, not by reconfiguration.
-        true
-    }
-
-    fn prepared_transactions(&self, _shard: ShardId) -> Vec<TxId> {
-        Vec::new()
-    }
-
-    fn retained_log_slots(&self, pid: ProcessId) -> Option<usize> {
-        self.world
-            .actor::<BaselineShardReplica>(pid)
-            .map(|r| r.retained_payloads())
-    }
-
-    fn logical_log_len(&self, pid: ProcessId) -> Option<u64> {
-        self.world
-            .actor::<BaselineShardReplica>(pid)
-            .map(|r| r.chosen_slots() as u64)
+        S::logical_log_len(self, pid)
     }
 
     fn set_link_fault(&mut self, from: ProcessId, to: ProcessId, fault: LinkFault) {

@@ -6,7 +6,7 @@
 //! §5 (`ratc-rdma`), and the vanilla 2PC-over-Paxos baseline of §1
 //! (`ratc-baseline`, the design lineage of Gray & Lamport's *Consensus on
 //! Transaction Commit*). This crate makes that interchangeability a
-//! first-class API instead of a family of look-alike harnesses:
+//! first-class API, written once for every stack:
 //!
 //! * [`TcsCluster`] — the one trait every deployed cluster implements:
 //!   submission (`submit` / `submit_via` / `resubmit` / `retry`), fault
@@ -14,17 +14,24 @@
 //!   reconfiguration, simulated-time control, and uniform observation
 //!   (history, latencies, membership/leader/epoch introspection, violation
 //!   queries);
+//! * [`SimCluster`] — the one cluster shell implementing it: it owns the
+//!   simulation world, the history-recording [`ClientActor`], the sharding,
+//!   the engine choice and the round-robin choice of coordinator;
+//! * [`Stack`] — what really differs between the protocols, one small impl
+//!   each ([`CoreStack`], [`RdmaStack`], [`BaselineStack`]): deployment, the
+//!   messages that re-drive work, membership and protocol-state probes, and
+//!   the capability flags;
 //! * [`StackKind`] — the stack selector naming which paper protocol a
 //!   cluster realises;
-//! * [`ClusterSpec`] — one builder (shards, failures tolerated, spares,
-//!   certification policy, truncation, batching, simulation seed) that
-//!   constructs any stack, replacing the three divergent `*ClusterConfig`
-//!   builders for stack-generic code.
+//! * [`ClusterSpec`] — the one builder (shards, failures tolerated, spares,
+//!   certification policy, truncation, batching, flow control, simulation
+//!   seed, engine) for every stack.
 //!
-//! Consumers that need exactly one concrete stack (white-box invariant
-//! checkers, log-differential suites) can still reach it through
-//! [`ClusterSpec::build_core`] / [`ClusterSpec::build_rdma`] /
-//! [`ClusterSpec::build_baseline`], sharing the spec with the generic path.
+//! [`ClusterSpec::build`] returns a `Box<dyn TcsCluster>` for stack-generic
+//! code. Consumers that need one concrete stack (white-box invariant
+//! checkers, log-differential suites, scripted schedules) build the typed
+//! shell instead, e.g. `spec.build_typed::<CoreStack>()`, and reach the
+//! world and the replicas through it.
 //!
 //! # Quick start
 //!
@@ -49,10 +56,13 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
+pub mod client;
 pub mod cluster;
 pub mod spec;
+pub mod stack;
 
-pub use cluster::{StackKind, TcsCluster};
-pub use ratc_core::client::DecisionLatency;
-pub use ratc_sim::ExecutionMode;
+pub use client::{ClientActor, ClientMsg, DecisionLatency};
+pub use cluster::{SimCluster, StackKind, TcsCluster};
+pub use ratc_sim::{ExecutionMode, MetricsView};
 pub use spec::ClusterSpec;
+pub use stack::{BaselineStack, CoreStack, Deployment, RdmaStack, Stack};

@@ -2,16 +2,14 @@
 
 use std::sync::Arc;
 
-use ratc_baseline::{BaselineCluster, BaselineClusterConfig};
 use ratc_core::batch::BatchingConfig;
 use ratc_core::flow::FlowControlConfig;
-use ratc_core::harness::{Cluster, ClusterConfig};
 use ratc_core::replica::TruncationConfig;
-use ratc_rdma::{RdmaCluster, RdmaClusterConfig, ReconfigMode};
 use ratc_sim::{ExecutionMode, SimConfig};
 use ratc_types::{CertificationPolicy, Serializability};
 
-use crate::cluster::{StackKind, TcsCluster};
+use crate::cluster::{SimCluster, StackKind, TcsCluster};
+use crate::stack::{BaselineStack, CoreStack, RdmaStack, Stack};
 
 /// A stack-agnostic deployment specification.
 ///
@@ -157,7 +155,7 @@ impl ClusterSpec {
 
     /// Returns a copy with commit-path observability enabled: the cluster
     /// records per-transaction lifecycle milestones and flow-control gauges
-    /// (see [`TcsCluster::obs_events`]).
+    /// (see [`MetricsView::obs_events`](ratc_sim::MetricsView::obs_events)).
     /// Recording never perturbs a seeded schedule.
     pub fn with_observability(mut self) -> Self {
         self.sim.obs = true;
@@ -181,65 +179,41 @@ impl ClusterSpec {
     /// Builds the spec's stack behind the unified [`TcsCluster`] facade.
     pub fn build(&self) -> Box<dyn TcsCluster> {
         match self.stack {
-            StackKind::Core => Box::new(self.build_core()),
-            StackKind::Rdma | StackKind::RdmaNaive => Box::new(self.build_rdma()),
-            StackKind::Baseline => Box::new(self.build_baseline()),
+            StackKind::Core => Box::new(self.build_typed::<CoreStack>()),
+            StackKind::Rdma | StackKind::RdmaNaive => Box::new(self.build_typed::<RdmaStack>()),
+            StackKind::Baseline => Box::new(self.build_typed::<BaselineStack>()),
         }
     }
 
-    /// Builds a concrete message-passing cluster from this spec (for
-    /// white-box consumers such as the invariant checkers and the
-    /// log-differential suites). Ignores [`ClusterSpec::stack`].
-    pub fn build_core(&self) -> Cluster {
-        Cluster::new(ClusterConfig {
-            shards: self.shards,
-            replicas_per_shard: self.failures + 1,
-            spares_per_shard: self.spares_per_shard,
-            policy: self.policy.clone(),
-            truncation: self.truncation,
-            batching: self.batching,
-            flow: self.flow,
-            sim: self.sim.clone(),
-            execution: self.execution,
-        })
-    }
-
-    /// Builds a concrete RDMA cluster from this spec, in naive per-shard
-    /// mode when [`ClusterSpec::stack`] is [`StackKind::RdmaNaive`] and
-    /// correct global mode otherwise.
-    pub fn build_rdma(&self) -> RdmaCluster {
-        let mode = if self.stack == StackKind::RdmaNaive {
-            ReconfigMode::NaivePerShard
-        } else {
-            ReconfigMode::GlobalCorrect
-        };
-        RdmaCluster::new(RdmaClusterConfig {
-            shards: self.shards,
-            replicas_per_shard: self.failures + 1,
-            spares_per_shard: self.spares_per_shard,
-            policy: self.policy.clone(),
-            sim: self.sim.clone(),
-            mode,
-            truncation: self.truncation,
-            batching: self.batching,
-            flow: self.flow,
-            execution: self.execution,
-        })
-    }
-
-    /// Builds a concrete baseline cluster from this spec. Ignores
-    /// [`ClusterSpec::stack`], the spare pool and the truncation knob (the
-    /// baseline prunes decided payloads unconditionally).
-    pub fn build_baseline(&self) -> BaselineCluster {
-        BaselineCluster::new(BaselineClusterConfig {
-            shards: self.shards,
-            f: self.failures,
-            policy: self.policy.clone(),
-            batching: self.batching,
-            flow: self.flow,
-            sim: self.sim.clone(),
-            execution: self.execution,
-        })
+    /// Builds this spec as the typed shell of stack `S`, for white-box
+    /// consumers such as the invariant checkers, the log-differential
+    /// suites and scripted schedules. `S` decides the protocol;
+    /// [`ClusterSpec::stack`] only picks between the two modes of
+    /// [`RdmaStack`] ([`StackKind::RdmaNaive`] deploys the naive per-shard
+    /// reconfiguration, anything else the correct global one).
+    ///
+    /// ```
+    /// use ratc_harness::{ClusterSpec, CoreStack, SimCluster, StackKind, TcsCluster};
+    /// use ratc_types::prelude::*;
+    ///
+    /// // 2 shards, f = 1 (two replicas each), serializability.
+    /// let mut cluster: SimCluster<CoreStack> = ClusterSpec::new(StackKind::Core).build_typed();
+    /// let payload = Payload::builder()
+    ///     .read(Key::new("x"), Version::new(0))
+    ///     .write(Key::new("x"), Value::from("1"))
+    ///     .commit_version(Version::new(1))
+    ///     .build()?;
+    /// cluster.submit(TxId::new(1), payload);
+    /// cluster.run_to_quiescence();
+    /// assert_eq!(cluster.history().decision(TxId::new(1)), Some(Decision::Commit));
+    /// // White-box access: the replicas' state and the Figure 3 invariants.
+    /// let leader = cluster.leader_of(ShardId::new(0)).expect("leader");
+    /// assert!(cluster.replica(leader).is_initialized());
+    /// assert!(cluster.check_invariants().is_empty());
+    /// # Ok::<(), PayloadError>(())
+    /// ```
+    pub fn build_typed<S: Stack>(&self) -> SimCluster<S> {
+        SimCluster::new(self)
     }
 }
 

@@ -5,7 +5,7 @@
 //! shard"; none of its operations take a shard identifier. This actor wraps
 //! [`GlobalConfigRegistry`] behind the RDMA protocol's message vocabulary.
 
-use ratc_config::{GlobalConfigRegistry, GlobalConfiguration};
+pub use ratc_config::{GlobalConfigRegistry, GlobalConfiguration};
 use ratc_sim::{Actor, Context};
 use ratc_types::ProcessId;
 

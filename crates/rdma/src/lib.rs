@@ -24,17 +24,18 @@
 //!
 //! See `ratc-core` for the message-passing protocol; the two crates share the
 //! simulation substrate, the certification policies and the history/spec
-//! machinery.
+//! machinery. Deployment lives in `ratc-harness` (its `RdmaStack`), which
+//! runs this protocol in the same cluster shell as the other stacks.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod config_service;
-pub mod harness;
 pub mod messages;
 pub mod replica;
+pub mod scripted;
 
 pub use config_service::GlobalConfigServiceActor;
-pub use harness::{RdmaCluster, RdmaClusterConfig, ScriptedPeer};
 pub use messages::RdmaMsg;
 pub use replica::{RdmaReplica, ReconfigMode};
+pub use scripted::ScriptedPeer;

@@ -98,7 +98,7 @@ pub use backoff::{BackoffPolicy, BackoffState, SafetyNet};
 // `ratc-sim` dependency without depending on `ratc-obs` themselves.
 pub use faults::{FaultScope, LinkFault};
 pub use latency::LatencyModel;
-pub use metrics::Metrics;
+pub use metrics::{Metrics, MetricsView};
 pub use ratc_obs::{
     blackouts, decided_times_per_shard, fold_timelines, Blackout, CtrlEvent, CtrlMilestone,
     LatencyUnit, Phase, PhaseBreakdown, TxMilestone, TxObsEvent, TxTimeline,

@@ -445,6 +445,63 @@ impl Metrics {
     }
 }
 
+/// Read access to what a run measured: counters, sample statistics,
+/// per-message-type counts and the observability event streams.
+///
+/// Anything that owns a world implements [`MetricsView::metrics`] and gets
+/// the queries for free; the cluster facade of `ratc-harness` builds on it.
+pub trait MetricsView {
+    /// The run's metrics.
+    fn metrics(&self) -> &Metrics;
+
+    /// A named counter (0 if it was never bumped).
+    fn counter(&self, name: &str) -> u64 {
+        self.metrics().counter(name)
+    }
+
+    /// Mean of a named sample series, if any samples were recorded.
+    fn sample_mean(&self, name: &str) -> Option<f64> {
+        self.metrics().summary(name).map(Summary::mean)
+    }
+
+    /// Estimated percentile (`pct` in `0..=100`) of a named sample series,
+    /// from the streaming log-bucketed histogram every [`Summary`]
+    /// maintains (relative error ≤ ~9%). `None` if no samples were
+    /// recorded.
+    fn sample_percentile(&self, name: &str, pct: f64) -> Option<f64> {
+        self.metrics().summary(name).map(|s| s.percentile(pct))
+    }
+
+    /// Raw transaction-lifecycle observability events, in recording order.
+    /// Empty unless the run was configured with observability on
+    /// ([`SimConfig::obs`](crate::SimConfig)).
+    fn obs_events(&self) -> Vec<TxObsEvent> {
+        self.metrics().obs_events().to_vec()
+    }
+
+    /// Raw control-plane observability events — reconfiguration milestones,
+    /// crash/restart/recovery spans, leader and coordinator handoffs, and any
+    /// harness-injected fault markers — in recording order. Empty unless
+    /// observability is on.
+    fn ctrl_events(&self) -> Vec<CtrlEvent> {
+        self.metrics().ctrl_events().to_vec()
+    }
+
+    /// Per-message-type send/deliver counters (label → counts), sorted by
+    /// message-type label. Empty unless observability is on.
+    fn msg_type_counters(&self) -> Vec<(String, MsgTypeCounters)> {
+        self.metrics()
+            .msg_type_counters()
+            .map(|(label, counters)| (label.to_owned(), counters))
+            .collect()
+    }
+
+    /// Messages handled (sent + received) by one process.
+    fn process_handled(&self, pid: ProcessId) -> u64 {
+        self.metrics().process(pid).handled()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

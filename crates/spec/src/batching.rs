@@ -26,9 +26,8 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use ratc_core::batch::BatchingConfig;
-use ratc_core::harness::Cluster;
 use ratc_core::replica::TruncationConfig;
-use ratc_harness::{ClusterSpec, StackKind};
+use ratc_harness::{ClusterSpec, CoreStack, SimCluster, StackKind, TcsCluster};
 use ratc_types::{Payload, ShardId, TxId};
 
 use crate::indexed::random_payload;
@@ -77,7 +76,7 @@ pub struct BatchingReport {
     pub slots_compared: usize,
 }
 
-fn build_cluster(scenario: &BatchingScenario, batching: BatchingConfig) -> Cluster {
+fn build_cluster(scenario: &BatchingScenario, batching: BatchingConfig) -> SimCluster<CoreStack> {
     let truncation = match scenario.truncation_batch {
         Some(batch) => TruncationConfig::with_batch(batch),
         None => TruncationConfig::disabled(),
@@ -89,7 +88,7 @@ fn build_cluster(scenario: &BatchingScenario, batching: BatchingConfig) -> Clust
         .with_seed(scenario.seed)
         .with_truncation(truncation)
         .with_batching(batching)
-        .build_core()
+        .build_typed()
 }
 
 /// Replays one scenario through an unbatched and a batched cluster and
@@ -132,14 +131,14 @@ pub fn differential_batching_check(scenario: &BatchingScenario) -> Result<Batchi
     // a member of the reconfigured shard 0): certifies reach every leader in
     // submission order in both runs.
     let coordinator_shard = ShardId::new(scenario.shards.saturating_sub(1));
-    if unbatched.initial_members(coordinator_shard).len() < 2 {
+    if unbatched.roster(coordinator_shard).len() < 2 {
         return Err(format!(
             "seed {seed}: invalid scenario — shard {coordinator_shard} needs a \
              non-leader member to coordinate from"
         ));
     }
-    let coord_a = unbatched.initial_members(coordinator_shard)[1];
-    let coord_b = batched.initial_members(coordinator_shard)[1];
+    let coord_a = unbatched.roster(coordinator_shard)[1];
+    let coord_b = batched.roster(coordinator_shard)[1];
 
     for (wave_idx, chunk) in txs.chunks(wave).enumerate() {
         for (tx, payload) in chunk {
@@ -151,9 +150,9 @@ pub fn differential_batching_check(scenario: &BatchingScenario) -> Result<Batchi
         if scenario.reconfigure && wave_idx == reconfig_wave {
             let shard = ShardId::new(0);
             for cluster in [&mut unbatched, &mut batched] {
-                let leader = cluster.current_leader(shard);
+                let leader = cluster.leader_of(shard).expect("leader");
                 let follower = *cluster
-                    .initial_members(shard)
+                    .roster(shard)
                     .iter()
                     .find(|p| **p != leader)
                     .expect("follower");
@@ -200,8 +199,8 @@ pub fn differential_batching_check(scenario: &BatchingScenario) -> Result<Batchi
     // (truncation frontiers may differ between the runs; identities and
     // decisions must not).
     for shard in unbatched.shards() {
-        let leader_a = unbatched.current_leader(shard);
-        let leader_b = batched.current_leader(shard);
+        let leader_a = unbatched.leader_of(shard).expect("leader");
+        let leader_b = batched.leader_of(shard).expect("leader");
         let log_a = unbatched.replica(leader_a).log();
         let log_b = batched.replica(leader_b).log();
         if log_a.next() != log_b.next() {

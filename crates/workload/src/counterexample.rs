@@ -16,7 +16,8 @@
 //! write is rejected, `p_c` never gathers its acknowledgements and only the
 //! abort is externalised.
 
-use ratc_rdma::{RdmaCluster, RdmaClusterConfig, RdmaMsg, ReconfigMode, ScriptedPeer};
+use ratc_harness::{ClientActor, ClusterSpec, RdmaStack, SimCluster, StackKind, TcsCluster};
+use ratc_rdma::{RdmaMsg, ReconfigMode, ScriptedPeer};
 use ratc_sim::SimDuration;
 use ratc_types::{Decision, Key, Payload, ShardId, ShardMap, TxId, Value, Version};
 
@@ -51,7 +52,7 @@ impl std::fmt::Display for CounterexampleOutcome {
 }
 
 /// Finds a key managed by `shard` under the cluster's hash sharding.
-fn key_on_shard(cluster: &RdmaCluster, shard: ShardId) -> Key {
+fn key_on_shard(cluster: &SimCluster<RdmaStack>, shard: ShardId) -> Key {
     for i in 0..10_000 {
         let key = Key::new(format!("cx-{i}"));
         if cluster.sharding().shard_of(&key) == shard {
@@ -63,12 +64,14 @@ fn key_on_shard(cluster: &RdmaCluster, shard: ShardId) -> Key {
 
 /// Runs the Figure 4a schedule under the given reconfiguration mode.
 pub fn run_counterexample(mode: ReconfigMode, seed: u64) -> CounterexampleOutcome {
-    let mut cluster = RdmaCluster::new(
-        RdmaClusterConfig::default()
-            .with_shards(2)
-            .with_mode(mode)
-            .with_seed(seed),
-    );
+    let stack = match mode {
+        ReconfigMode::GlobalCorrect => StackKind::Rdma,
+        ReconfigMode::NaivePerShard => StackKind::RdmaNaive,
+    };
+    let mut cluster: SimCluster<RdmaStack> = ClusterSpec::new(stack)
+        .with_shards(2)
+        .with_seed(seed)
+        .build_typed();
     let s1 = ShardId::new(0);
     let s2 = ShardId::new(1);
     let config = cluster.current_config();
@@ -102,7 +105,7 @@ pub fn run_counterexample(mode: ReconfigMode, seed: u64) -> CounterexampleOutcom
         let now = cluster.world.now();
         cluster
             .world
-            .actor_mut::<ratc_rdma::harness::RdmaClientActor>(client)
+            .actor_mut::<ClientActor<RdmaMsg>>(client)
             .expect("client")
             .record_certify(tx, payload.clone(), now);
     }

@@ -14,8 +14,7 @@ use std::fmt;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use ratc_core::flow::FlowControlConfig;
-use ratc_core::invariants;
-use ratc_harness::{ClusterSpec, StackKind, TcsCluster};
+use ratc_harness::{ClusterSpec, CoreStack, SimCluster, StackKind, TcsCluster};
 use ratc_sim::{ExecutionMode, LatencyUnit, Phase, SimDuration};
 use ratc_spec::check_history;
 use ratc_types::{Key, Payload, Serializability, ShardId, ShardMap, TxId, Value, Version};
@@ -1260,7 +1259,7 @@ impl fmt::Display for InvariantsResult {
 /// E8: runs `runs` randomized executions of the message-passing protocol with
 /// random contention, random crashes and reconfigurations, checking the
 /// white-box invariants and the black-box TCS specification on each. Stays
-/// on the concrete core cluster ([`ClusterSpec::build_core`]) because the
+/// on the typed core cluster ([`ClusterSpec::build_typed`]) because the
 /// Figure 3 invariant checkers inspect live replica state.
 pub fn invariants_experiment(runs: usize, txs_per_run: usize, base_seed: u64) -> InvariantsResult {
     let mut result = InvariantsResult::default();
@@ -1275,10 +1274,10 @@ pub fn invariants_experiment(runs: usize, txs_per_run: usize, base_seed: u64) ->
             distribution: KeyDistribution::Uniform,
         };
         let txs = spec.generate(&mut rng);
-        let mut cluster = ClusterSpec::new(StackKind::Core)
+        let mut cluster: SimCluster<CoreStack> = ClusterSpec::new(StackKind::Core)
             .with_shards(2)
             .with_seed(seed)
-            .build_core();
+            .build_typed();
         let crash_at = rng.gen_range(0..txs.len().max(1));
         let inject_crash = rng.gen_bool(0.6);
         for (i, (tx, payload)) in txs.into_iter().enumerate() {
@@ -1286,12 +1285,8 @@ pub fn invariants_experiment(runs: usize, txs_per_run: usize, base_seed: u64) ->
             if inject_crash && i == crash_at {
                 cluster.run_for(SimDuration::from_millis(1));
                 let shard = ShardId::new(rng.gen_range(0..2));
-                let leader = cluster.current_leader(shard);
-                let follower = cluster
-                    .initial_members(shard)
-                    .iter()
-                    .copied()
-                    .find(|p| *p != leader);
+                let leader = cluster.leader_of(shard).expect("leader");
+                let follower = cluster.roster(shard).iter().copied().find(|p| *p != leader);
                 if let Some(follower) = follower {
                     cluster.crash(follower);
                     cluster.start_reconfiguration(shard, leader, vec![follower]);
@@ -1304,7 +1299,7 @@ pub fn invariants_experiment(runs: usize, txs_per_run: usize, base_seed: u64) ->
         result.runs += 1;
         result.committed += history.committed().count();
         result.aborted += history.aborted().count();
-        result.invariant_violations += invariants::check_cluster(&cluster).len();
+        result.invariant_violations += cluster.check_invariants().len();
         result.spec_violations += check_history(&history, &Serializability::new()).len()
             + cluster.client_violations().len();
     }

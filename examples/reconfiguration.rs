@@ -4,13 +4,12 @@
 //!
 //! The cluster is deployed from the unified `ClusterSpec` and driven through
 //! the stack-agnostic `TcsCluster` introspection (`epoch_of` / `leader_of` /
-//! `members_of`); only the final white-box invariant check needs the
-//! concrete core cluster, which the same spec also builds.
+//! `members_of`); only the final white-box invariant check needs the typed
+//! core cluster, which is what the spec builds here.
 //!
 //! Run with: `cargo run --example reconfiguration`
 
-use ratc::core::invariants::check_cluster;
-use ratc::harness::{ClusterSpec, StackKind, TcsCluster};
+use ratc::harness::{ClusterSpec, CoreStack, SimCluster, StackKind, TcsCluster};
 use ratc::types::prelude::*;
 
 fn payload(i: u64) -> Payload {
@@ -23,10 +22,10 @@ fn payload(i: u64) -> Payload {
 }
 
 fn main() {
-    let mut cluster = ClusterSpec::new(StackKind::Core)
+    let mut cluster: SimCluster<CoreStack> = ClusterSpec::new(StackKind::Core)
         .with_shards(2)
         .with_seed(3)
-        .build_core();
+        .build_typed();
     let shard = ShardId::new(0);
 
     println!(
@@ -97,7 +96,7 @@ fn main() {
     println!("\ntotal committed: {}", history.committed().count());
     println!("total aborted: {}", history.aborted().count());
     println!("client violations: {}", cluster.client_violations().len());
-    let violations = check_cluster(&cluster);
+    let violations = cluster.check_invariants();
     println!("invariant violations: {}", violations.len());
     assert!(violations.is_empty());
     assert!(cluster.client_violations().is_empty());

@@ -1,12 +1,9 @@
 //! Cross-crate integration tests: every TCS implementation is driven through
 //! the key-value layer and checked against the black-box specification.
 
-use ratc::core::harness::{Cluster, ClusterConfig};
-use ratc::core::invariants::check_cluster;
 use ratc::core::replica::TruncationConfig;
-use ratc::harness::{ClusterSpec, StackKind};
+use ratc::harness::{ClusterSpec, CoreStack, RdmaStack, StackKind, TcsCluster};
 use ratc::kv::KvStore;
-use ratc::rdma::{RdmaCluster, RdmaClusterConfig};
 use ratc::spec::{check_conflict_serializable, check_history};
 use ratc::types::prelude::*;
 
@@ -36,7 +33,10 @@ fn kv_store_over_ratc_mp_is_serializable_and_conserves_money() {
     for i in 0..6 {
         store.seed(Key::new(format!("acct-{i}")), Value::from(100u64));
     }
-    let mut cluster = Cluster::new(ClusterConfig::default().with_shards(3).with_seed(21));
+    let mut cluster = ClusterSpec::new(StackKind::Core)
+        .with_shards(3)
+        .with_seed(21)
+        .build_typed::<CoreStack>();
     for i in 0..30u64 {
         let tx = TxId::new(i + 1);
         let from = format!("acct-{}", i % 6);
@@ -52,7 +52,7 @@ fn kv_store_over_ratc_mp_is_serializable_and_conserves_money() {
     assert!(history.is_complete());
     assert!(check_history(&history, &Serializability::new()).is_empty());
     assert!(check_conflict_serializable(&history).is_ok());
-    assert!(check_cluster(&cluster).is_empty());
+    assert!(cluster.check_invariants().is_empty());
 
     let total: u64 = (0..6)
         .map(|i| {
@@ -140,12 +140,11 @@ fn write_conflict_policy_commits_more_than_serializability() {
         .collect();
 
     let run = |policy: Arc<dyn CertificationPolicy>| {
-        let mut cluster = Cluster::new(
-            ClusterConfig::default()
-                .with_shards(2)
-                .with_seed(9)
-                .with_policy(policy),
-        );
+        let mut cluster = ClusterSpec::new(StackKind::Core)
+            .with_shards(2)
+            .with_seed(9)
+            .with_policy(policy)
+            .build_typed::<CoreStack>();
         for (tx, p) in &payloads {
             cluster.submit(*tx, p.clone());
         }
@@ -176,18 +175,17 @@ fn contended_payload(i: u64) -> Payload {
 #[test]
 fn crash_recovery_from_checkpoint_and_suffix_loses_no_decisions() {
     // Aggressive truncation so the prefix is folded well before the crash.
-    let mut cluster = Cluster::new(
-        ClusterConfig::default()
-            .with_shards(2)
-            .with_seed(41)
-            .with_truncation(TruncationConfig::with_batch(4)),
-    );
+    let mut cluster = ClusterSpec::new(StackKind::Core)
+        .with_shards(2)
+        .with_seed(41)
+        .with_truncation(TruncationConfig::with_batch(4))
+        .build_typed::<CoreStack>();
     for i in 0..40u64 {
         cluster.submit(TxId::new(i + 1), contended_payload(i));
         cluster.run_to_quiescence();
     }
     let shard = ShardId::new(0);
-    let leader = cluster.current_leader(shard);
+    let leader = cluster.leader_of(shard).expect("leader");
     assert!(
         cluster.replica(leader).log().base().as_u64() > 0,
         "the leader must have truncated before the crash"
@@ -196,7 +194,7 @@ fn crash_recovery_from_checkpoint_and_suffix_loses_no_decisions() {
     // Kill a follower mid-history and recover through reconfiguration: the
     // spare is initialised from NEW_STATE carrying Checkpoint + suffix.
     let follower = *cluster
-        .initial_members(shard)
+        .roster(shard)
         .iter()
         .find(|p| **p != leader)
         .expect("follower");
@@ -204,11 +202,11 @@ fn crash_recovery_from_checkpoint_and_suffix_loses_no_decisions() {
     cluster.start_reconfiguration(shard, leader, vec![follower]);
     cluster.run_to_quiescence();
 
-    let new_members = cluster.current_members(shard);
+    let new_members = cluster.members_of(shard);
     assert!(!new_members.contains(&follower));
     let recovered = *new_members
         .iter()
-        .find(|p| !cluster.initial_members(shard).contains(p))
+        .find(|p| !cluster.roster(shard).contains(p))
         .expect("a spare joined the configuration");
     let recovered_log = cluster.replica(recovered).log();
     assert!(
@@ -237,18 +235,17 @@ fn crash_recovery_from_checkpoint_and_suffix_loses_no_decisions() {
     assert_eq!(history.decide_count(), 60);
     assert!(check_history(&history, &Serializability::new()).is_empty());
     assert!(check_conflict_serializable(&history).is_ok());
-    assert!(check_cluster(&cluster).is_empty());
+    assert!(cluster.check_invariants().is_empty());
     assert!(cluster.client_violations().is_empty());
 }
 
 #[test]
 fn rdma_crash_recovery_with_truncation_preserves_the_specification() {
-    let mut cluster = RdmaCluster::new(
-        RdmaClusterConfig::default()
-            .with_shards(2)
-            .with_seed(23)
-            .with_truncation(TruncationConfig::with_batch(4)),
-    );
+    let mut cluster = ClusterSpec::new(StackKind::Rdma)
+        .with_shards(2)
+        .with_seed(23)
+        .with_truncation(TruncationConfig::with_batch(4))
+        .build_typed::<RdmaStack>();
     for i in 0..30u64 {
         cluster.submit(TxId::new(i + 1), contended_payload(i));
         cluster.run_to_quiescence();
@@ -282,7 +279,10 @@ fn rdma_crash_recovery_with_truncation_preserves_the_specification() {
 
 #[test]
 fn reconfiguration_mid_stream_preserves_the_specification() {
-    let mut cluster = Cluster::new(ClusterConfig::default().with_shards(2).with_seed(33));
+    let mut cluster = ClusterSpec::new(StackKind::Core)
+        .with_shards(2)
+        .with_seed(33)
+        .build_typed::<CoreStack>();
     for i in 0..15u64 {
         cluster.submit(
             TxId::new(i + 1),
@@ -296,9 +296,9 @@ fn reconfiguration_mid_stream_preserves_the_specification() {
     }
     // Crash a follower while the stream is in flight.
     let shard = ShardId::new(0);
-    let leader = cluster.current_leader(shard);
+    let leader = cluster.leader_of(shard).expect("leader");
     let follower = *cluster
-        .initial_members(shard)
+        .roster(shard)
         .iter()
         .find(|p| **p != leader)
         .expect("follower");
@@ -321,7 +321,7 @@ fn reconfiguration_mid_stream_preserves_the_specification() {
 
     let history = cluster.history();
     assert!(check_history(&history, &Serializability::new()).is_empty());
-    assert!(check_cluster(&cluster).is_empty());
+    assert!(cluster.check_invariants().is_empty());
     assert!(cluster.client_violations().is_empty());
     // Transactions submitted after recovery must all be decided.
     for i in 15..25u64 {

@@ -10,8 +10,7 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use ratc::core::harness::{Cluster, ClusterConfig};
-use ratc::core::invariants::check_cluster;
+use ratc::harness::{ClusterSpec, CoreStack, StackKind, TcsCluster};
 use ratc::spec::check_history;
 use ratc::types::certify::properties as certify_props;
 use ratc::types::prelude::*;
@@ -150,8 +149,10 @@ fn random_workloads_satisfy_the_specification() {
         let seed = rng.gen_range(0..1_000u64);
         let payloads = arb_payload_vec(&mut rng, 1, 25);
         let shards = rng.gen_range(1..4u32);
-        let mut cluster =
-            Cluster::new(ClusterConfig::default().with_shards(shards).with_seed(seed));
+        let mut cluster = ClusterSpec::new(StackKind::Core)
+            .with_shards(shards)
+            .with_seed(seed)
+            .build_typed::<CoreStack>();
         for (i, payload) in payloads.iter().enumerate() {
             cluster.submit(TxId::new(i as u64 + 1), payload.clone());
         }
@@ -160,7 +161,7 @@ fn random_workloads_satisfy_the_specification() {
         assert_eq!(history.decide_count(), payloads.len());
         assert!(cluster.client_violations().is_empty());
         assert!(check_history(&history, &Serializability::new()).is_empty());
-        assert!(check_cluster(&cluster).is_empty());
+        assert!(cluster.check_invariants().is_empty());
     }
 }
 
@@ -174,7 +175,10 @@ fn random_crash_and_reconfiguration_preserve_safety() {
         let seed = rng.gen_range(0..1_000u64);
         let payloads = arb_payload_vec(&mut rng, 2, 15);
         let crash_leader = rng.gen_bool(0.5);
-        let mut cluster = Cluster::new(ClusterConfig::default().with_shards(2).with_seed(seed));
+        let mut cluster = ClusterSpec::new(StackKind::Core)
+            .with_shards(2)
+            .with_seed(seed)
+            .build_typed::<CoreStack>();
         let half = payloads.len() / 2;
         for (i, payload) in payloads[..half].iter().enumerate() {
             cluster.submit(TxId::new(i as u64 + 1), payload.clone());
@@ -182,9 +186,9 @@ fn random_crash_and_reconfiguration_preserve_safety() {
         cluster.run_to_quiescence();
 
         let shard = ShardId::new((seed % 2) as u32);
-        let leader = cluster.current_leader(shard);
+        let leader = cluster.leader_of(shard).expect("leader");
         let follower = *cluster
-            .current_members(shard)
+            .members_of(shard)
             .iter()
             .find(|p| **p != leader)
             .expect("follower");
@@ -205,7 +209,7 @@ fn random_crash_and_reconfiguration_preserve_safety() {
         let history = cluster.history();
         assert!(cluster.client_violations().is_empty());
         assert!(check_history(&history, &Serializability::new()).is_empty());
-        assert!(check_cluster(&cluster).is_empty());
+        assert!(cluster.check_invariants().is_empty());
         // Everything submitted after the reconfiguration completed is decided.
         for i in half..payloads.len() {
             assert!(history.decision(TxId::new(i as u64 + 1)).is_some());
