@@ -5,12 +5,11 @@
 
 use std::fmt;
 
+use ratc_harness::StackKind;
 use ratc_sim::{Blackout, CtrlEvent};
 use ratc_types::ShardId;
 
 use crate::driver::{run_soak, SoakConfig, SoakReport};
-use ratc_harness::StackKind;
-
 use crate::harness::build_harness;
 use crate::nemesis::{Nemesis, NemesisConfig, Profile};
 use crate::plan::{FaultEvent, FaultPlan, TimedFault};

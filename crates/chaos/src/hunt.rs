@@ -14,11 +14,10 @@
 //! probing closes the RDMA connections, the stale write is rejected, and only
 //! one decision is ever externalised (verified by a regression test).
 
+use ratc_harness::StackKind;
 use ratc_types::ShardId;
 
 use crate::driver::{run_soak, SoakConfig, SoakReport};
-use ratc_harness::StackKind;
-
 use crate::harness::build_harness;
 use crate::nemesis::{Nemesis, NemesisConfig, Profile};
 use crate::plan::FaultPlan;

@@ -67,8 +67,10 @@ impl fmt::Display for StackKind {
 /// The trait captures the full operator surface the workspace's consumers
 /// need: experiments drive `submit`/`run_*`/`latencies`, the chaos nemesis
 /// adds `crash`/`restart`/link faults/`start_reconfiguration`, and the spec
-/// suites observe `history` and the introspection queries. [`SimCluster`]
-/// implements it for every [`Stack`]; construct one with
+/// suites observe `history` and the introspection queries. Measurement
+/// reads (counters, sample statistics, the observability streams) come
+/// from the [`MetricsView`] supertrait. [`SimCluster`] implements both for
+/// every [`Stack`]; construct one with
 /// [`ClusterSpec::build`] (behind this trait) or [`ClusterSpec::build_typed`]
 /// (a typed shell for white-box access).
 pub trait TcsCluster: MetricsView {
@@ -330,7 +332,7 @@ pub struct SimCluster<S: Stack> {
     sharding: Arc<HashSharding>,
     client: ProcessId,
     roster: BTreeMap<ShardId, Vec<ProcessId>>,
-    spares: BTreeMap<ShardId, Vec<ProcessId>>,
+    pub(crate) spares: BTreeMap<ShardId, Vec<ProcessId>>,
     next_coordinator: usize,
     execution: ExecutionMode,
 }
@@ -377,13 +379,8 @@ impl<S: Stack> SimCluster<S> {
         self.spares.get(&shard).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// The spare pools of every shard.
-    pub(crate) fn spare_pools(&self) -> &BTreeMap<ShardId, Vec<ProcessId>> {
-        &self.spares
-    }
-
     /// The history-recording client actor.
-    pub fn client(&self) -> &ClientActor<S::Msg> {
+    fn client(&self) -> &ClientActor<S::Msg> {
         self.world
             .actor::<ClientActor<S::Msg>>(self.client)
             .expect("client")

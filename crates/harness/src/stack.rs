@@ -451,7 +451,7 @@ impl Stack for RdmaStack {
     ) -> Option<RdmaMsg> {
         Some(RdmaMsg::StartReconfigure {
             suspected_shard: shard,
-            spares: cluster.spare_pools().clone(),
+            spares: cluster.spares.clone(),
             target_size: cluster.stack.target_size,
             exclude,
         })

@@ -14,7 +14,8 @@
 //! * [`rdma`] — the RDMA-based RATC protocol (§5, Figures 7–8);
 //! * [`baseline`] — the vanilla 2PC-over-Paxos baseline;
 //! * [`harness`] — the **unified cluster API**: the stack-agnostic
-//!   [`TcsCluster`](harness::TcsCluster) trait and the
+//!   [`TcsCluster`](harness::TcsCluster) trait, implemented once by the
+//!   [`SimCluster`](harness::SimCluster) shell for every stack, and the
 //!   [`ClusterSpec`](harness::ClusterSpec) builder that deploys any of the
 //!   three stacks;
 //! * [`spec`] — TCS specification checkers;
